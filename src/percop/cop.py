@@ -3,9 +3,13 @@
 The test partitions the standard simplex.  A cell with vertex set {v_i} is
 certified once min_{i<=j} v_i^T B v_j is positive: that minimum bounds B from
 below on the whole cell.  A cell whose vertex has negative form value refutes
-copositivity.  Otherwise the longest edge is bisected.  Vertices stay dyadic,
-stored as an integer tuple plus a binary exponent, so every comparison along
-the way is an integer comparison.
+copositivity.  Otherwise the longest edge is bisected.  A cell at depth d
+stores its vertices as integer tuples scaled by 2^d, and its pair values
+v_i^T B v_j and squared edge lengths as flat integer lists scaled by 4^d, so
+every comparison within a cell is an integer comparison and a split only
+shifts what the children inherit.  A vertex leaves the partition (as a
+witness, or to break a tie between equally long edges) in lowest terms: an
+integer tuple plus a binary exponent.
 
 Minimal-vector enumeration turns a simplex lower bound mu into the search
 radius |v|_1 <= sqrt(c/mu) via B[v] = |v|_1^2 * B[v/|v|_1] and walks the
@@ -18,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
+from operator import mul, or_, sub
 from typing import Union
 
 from .core import Rat, SymMat, inertia, quad_form
@@ -83,33 +88,21 @@ def _int_form(b: SymMat) -> tuple[list[list[int]], int]:
     return rows, den
 
 
-def _dy_cmp(a, b):
-    """Compare dyadic rationals given as (numerator, exponent)."""
-    an, ae = a
-    bn, be = b
-    if ae < be:
-        an <<= be - ae
-    elif be < ae:
-        bn <<= ae - be
-    return (an > bn) - (an < bn)
-
-
-def _mid(u, v):
-    uv, ue = u
-    vv, ve = v
-    e = max(ue, ve) + 1
-    w = [(a << (e - 1 - ue)) + (b << (e - 1 - ve)) for a, b in zip(uv, vv)]
-    while e > 0 and all(x & 1 == 0 for x in w):
-        w = [x >> 1 for x in w]
-        e -= 1
-    return (tuple(w), e)
+def _reduced(vec, depth):
+    """The vertex vec/2^depth as (integer tuple, exponent) in lowest terms."""
+    bits = reduce(or_, vec)
+    k = min((bits & -bits).bit_length() - 1, depth)
+    if k:
+        vec = tuple([x >> k for x in vec])
+    return (vec, depth - k)
 
 
 def _bnb(bi, depth_limit, strict, cell_budget):
     """Partition loop on an integer matrix.
 
     Returns ('strict'|'cop', (num, exp)) with the bound num/2^exp, or
-    ('not', dyadic vertex), or ('undec', depth).
+    ('not', vertex) with the vertex as (integer tuple, exponent) in lowest
+    terms, or ('undec', depth).
     """
     n = len(bi)
     if n == 1:
@@ -119,79 +112,86 @@ def _bnb(bi, depth_limit, strict, cell_budget):
         if v > 0 or not strict:
             return ('strict' if strict else 'cop', (v, 0))
         return ('undec', 0)
-    pair_keys = [(i, j) for i in range(n) for j in range(i, n)]
-    edge_keys = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    root_verts = tuple(
-        (tuple(int(k == i) for k in range(n)), 0) for i in range(n))
-    root_pairs = {(i, j): (bi[i][j], 0) for i, j in pair_keys}
-    root_d2 = {k: (2, 0) for k in edge_keys}
-    stack = [(root_verts, root_pairs, root_d2, 0)]
+    # flat index tables: pair (i, j) for i <= j, edge (i, j) for i < j
+    pair_at = [[0] * n for _ in range(n)]
+    edge_at = [[0] * n for _ in range(n)]
+    root_pairs = []
+    edges = []
+    for i in range(n):
+        for j in range(i, n):
+            pair_at[i][j] = pair_at[j][i] = len(root_pairs)
+            root_pairs.append(bi[i][j])
+            if j > i:
+                edge_at[i][j] = edge_at[j][i] = len(edges)
+                edges.append((i, j))
+    diag = [pair_at[i][i] for i in range(n)]
+    # the pair and edge entries that change when vertex i is replaced
+    touched = [[(k, pair_at[i][k], edge_at[i][k]) for k in range(n) if k != i]
+               for i in range(n)]
+    floor = 1 if strict else 0  # pair values are integers: > 0 is >= 1
+    root_verts = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    stack = [(root_verts, root_pairs, [2] * len(edges), 0)]
     mu = None
-    undecided = None
+    undecided = False
     cells = 0
     while stack:
         verts, pairs, d2, depth = stack.pop()
         cells += 1
         if cells > cell_budget:
             return ('undec', depth)
-        refute = None
-        for i in range(n):
-            if pairs[(i, i)][0] < 0:
-                refute = verts[i]
-                break
-        if refute is not None:
-            return ('not', refute)
-        cell_min = None
-        certified = True
-        for key in pair_keys:
-            val = pairs[key]
-            if val[0] < 0 or (strict and val[0] == 0):
-                certified = False
-                break
-            if cell_min is None or _dy_cmp(val, cell_min) < 0:
-                cell_min = val
-        if certified:
-            if mu is None or _dy_cmp(cell_min, mu) < 0:
-                mu = cell_min
+        low = min(pairs)
+        if low >= floor:
+            # the cell bound is low/4^depth, mu is mu[0]/2^mu[1]
+            if mu is None or low << mu[1] < mu[0] << 2 * depth:
+                mu = (low, 2 * depth)
             continue
+        if low < 0:
+            for i in range(n):
+                if pairs[diag[i]] < 0:
+                    return ('not', _reduced(verts[i], depth))
         if depth >= depth_limit:
-            undecided = depth_limit
+            undecided = True
             continue
-        best = None
-        for i, j in edge_keys:
-            length = d2[(i, j)]
-            if best is None:
-                best = (length, verts[i], verts[j], i, j)
-                continue
-            c = _dy_cmp(length, best[0])
-            if c > 0 or (c == 0 and (verts[i], verts[j]) < (best[1], best[2])):
-                best = (length, verts[i], verts[j], i, j)
-        _, _, _, si, sj = best
-        mid = _mid(verts[si], verts[sj])
-        mvec, me = mid
-        bmid = [sum(bi[r][c] * mvec[c] for c in range(n)) for r in range(n)]
-        mid_self = (sum(a * b for a, b in zip(mvec, bmid)), 2 * me)
+        longest = max(d2)
+        e = d2.index(longest)
+        if d2.count(longest) > 1:
+            # ties go to the least pair of vertices in lowest terms
+            red = [_reduced(v, depth) for v in verts]
+            e = min((k for k in range(e, len(d2)) if d2[k] == longest),
+                    key=lambda k: (red[edges[k][0]], red[edges[k][1]]))
+        # the children sit at depth + 1: inherited vertices double, inherited
+        # pairs and lengths quadruple, the midpoint is v_si + v_sj, and its
+        # squared distance to either end is the old longest length
+        # (vertex tuples are built from lists: tuple(map(...)) resizes a
+        # guessed-length tuple, so freed vertices would fill the interpreter's
+        # tuple free list instead of being reused, about 0.2 MB per size)
+        si, sj = edges[e]
+        mid = tuple([a + b for a, b in zip(verts[si], verts[sj])])
+        bmid = [sum(map(mul, row, mid)) for row in bi]
+        mid_self = sum(map(mul, mid, bmid))
+        shifted = [tuple([x << 1 for x in v]) for v in verts]
+        dots = [sum(map(mul, v, bmid)) for v in shifted]
+        dist = []
+        for k, v in enumerate(shifted):
+            if k == si or k == sj:
+                dist.append(longest)
+            else:
+                diff = list(map(sub, v, mid))
+                dist.append(sum(map(mul, diff, diff)))
+        pairs = [x << 2 for x in pairs]
+        d2 = [x << 2 for x in d2]
         for repl in (si, sj):
-            nverts = list(verts)
+            nverts = shifted.copy()
             nverts[repl] = mid
-            npairs = dict(pairs)
-            nd2 = dict(d2)
-            npairs[(repl, repl)] = mid_self
-            for k in range(n):
-                if k == repl:
-                    continue
-                uv, ue = nverts[k]
-                key = (k, repl) if k < repl else (repl, k)
-                npairs[key] = (sum(a * b for a, b in zip(uv, bmid)), ue + me)
-                e = max(ue, me)
-                s = 0
-                for a, b in zip(uv, mvec):
-                    d = (a << (e - ue)) - (b << (e - me))
-                    s += d * d
-                nd2[key] = (s, 2 * e)
-            stack.append((tuple(nverts), npairs, nd2, depth + 1))
-    if undecided is not None:
-        return ('undec', undecided)
+            npairs = pairs.copy()
+            nd2 = d2.copy()
+            for k, p, q in touched[repl]:
+                npairs[p] = dots[k]
+                nd2[q] = dist[k]
+            npairs[diag[repl]] = mid_self
+            stack.append((nverts, npairs, nd2, depth + 1))
+    if undecided:
+        return ('undec', depth_limit)
     return ('strict' if strict else 'cop', mu)
 
 
@@ -208,6 +208,20 @@ def _witness_integral(vert) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
+def _decide(b: SymMat, depth_limit: int, cell_budget: int, strict: bool):
+    if depth_limit < 0:
+        raise PreconditionError("bad-depth-limit", "depth_limit must be >= 0")
+    bi, den = _int_form(b)
+    tag, data = _bnb(bi, depth_limit, strict, cell_budget)
+    if tag == 'not':
+        return NotCopositive(_witness_vector(data))
+    if tag == 'undec':
+        return Undecided(data)
+    num, e = data
+    bound = Fraction(num, den << e)
+    return StrictlyCopositive(bound) if strict else Copositive(bound)
+
+
 def test_copositivity(b: SymMat,
                       depth_limit: int = DEFAULT_DEPTH_LIMIT,
                       cell_budget: int = DEFAULT_CELL_BUDGET) -> CopVerdict:
@@ -217,16 +231,7 @@ def test_copositivity(b: SymMat,
     boundary matrices come back Undecided once the depth limit (or the cell
     budget) is reached.  Undecided is a legal outcome, not an error.
     """
-    if depth_limit < 0:
-        raise PreconditionError("bad-depth-limit", "depth_limit must be >= 0")
-    bi, den = _int_form(b)
-    tag, data = _bnb(bi, depth_limit, True, cell_budget)
-    if tag == 'not':
-        return NotCopositive(_witness_vector(data))
-    if tag == 'undec':
-        return Undecided(data)
-    num, e = data
-    return StrictlyCopositive(Fraction(num, den << e))
+    return _decide(b, depth_limit, cell_budget, True)
 
 
 def certify_copositive(b: SymMat,
@@ -238,16 +243,7 @@ def certify_copositive(b: SymMat,
     not on its boundary, and for boundary matrices whose zero set is spanned
     by cell vertices (the E_ij directions certify at the root, for example).
     """
-    if depth_limit < 0:
-        raise PreconditionError("bad-depth-limit", "depth_limit must be >= 0")
-    bi, den = _int_form(b)
-    tag, data = _bnb(bi, depth_limit, False, cell_budget)
-    if tag == 'not':
-        return NotCopositive(_witness_vector(data))
-    if tag == 'undec':
-        return Undecided(data)
-    num, e = data
-    return Copositive(Fraction(num, den << e))
+    return _decide(b, depth_limit, cell_budget, False)
 
 
 # ---------------------------------------------------------------------------

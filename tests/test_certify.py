@@ -90,6 +90,7 @@ def test_precondition_errors():
     assert exc.value.reason == "bad-budget"
 
 
+@pytest.mark.slow
 def test_not_cp_for_dnn_fixture():
     """The doubly nonnegative 5x5 fixture sits outside the CP cone; the walk
     must find a separating perfect copositive matrix."""

@@ -14,9 +14,9 @@ from math import isqrt
 import pytest
 
 from percop.cop import (Copositive, NotCopositive, StrictlyCopositive,
-                        Undecided, certify_copositive, classical_below,
-                        classical_min, copositive_min, enumerate_below,
-                        minresult_to_json)
+                        Undecided, _bnb, _int_form, certify_copositive,
+                        classical_below, classical_min, copositive_min,
+                        enumerate_below, minresult_to_json)
 from percop.cop import test_copositivity as check_cop
 from percop.core import SymMat, basis_e, identity, quad_form
 from percop.errors import (NotCopositiveError, PreconditionError,
@@ -79,6 +79,45 @@ def test_depth_limit_zero_boundary():
     verdict = check_cop(basis_e(3, 0, 2), depth_limit=0)
     assert isinstance(verdict, Undecided)
     assert verdict.depth == 0
+
+
+# (integer matrix or SymMat, depth_limit, strict, cell_budget, tag, answer):
+# the bound as a Fraction, the witness as a reduced (vector, exponent) pair,
+# or the undecided depth.  The root simplex has all edges equally long, so
+# every case with n >= 3 that splits, E and q_an(5) among them, pins the
+# tie-break between longest edges.  _WALK_REFUTED is a survey matrix of a
+# walk step, refuted by a vertex with denominator 2^8.
+_WALK_REFUTED = [[2, -7, 5], [-7, 26, -18], [5, -18, 12]]
+_BNB_PINS = [
+    ([[-3]], 64, True, 100, 'not', ((1,), 0)),
+    ([[-3]], 64, False, 100, 'not', ((1,), 0)),
+    ([[5]], 64, True, 100, 'strict', Fraction(5)),
+    ([[5]], 64, False, 100, 'cop', Fraction(5)),
+    ([[0]], 64, True, 100, 'undec', 0),
+    ([[0]], 64, False, 100, 'cop', Fraction(0)),
+    (basis_e(2, 0, 1), 6, True, 2_000_000, 'undec', 6),
+    (basis_e(3, 0, 2), 0, True, 2_000_000, 'undec', 0),
+    (q_an(4), 64, True, 10, 'undec', 8),
+    (q_an(4), 64, True, 100, 'undec', 7),
+    (q_an(4), 64, True, 1000, 'strict', Fraction(1, 16)),
+    (fixtures().E, 64, True, 2_000_000, 'strict', Fraction(3, 2048)),
+    (fixtures().E, 1024, True, 2_000_000, 'strict', Fraction(3, 2048)),
+    (q_an(5), 64, True, 2_000_000, 'strict', Fraction(1, 64)),
+    (q_an(5), 1024, True, 2_000_000, 'strict', Fraction(1, 64)),
+    (_WALK_REFUTED, 64, True, 200_000, 'not', ((89, 83, 84), 8)),
+    (_WALK_REFUTED, 1024, True, 200_000, 'not', ((89, 83, 84), 8)),
+]
+
+
+@pytest.mark.parametrize("m,depth_limit,strict,budget,tag,answer", _BNB_PINS)
+def test_bnb_pinned_outputs(m, depth_limit, strict, budget, tag, answer):
+    bi = m if isinstance(m, list) else _int_form(m)[0]
+    got_tag, data = _bnb(bi, depth_limit, strict, budget)
+    assert got_tag == tag
+    if tag in ('strict', 'cop'):
+        num, e = data
+        data = Fraction(num, 1 << e)
+    assert data == answer
 
 
 def test_random_n2_against_closed_form():

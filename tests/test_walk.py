@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from percop.core import SymMat, basis_e, identity, quad_form
-from percop.errors import PreconditionError
+from percop.errors import PreconditionError, WalkUndecidedError
 from percop.families import fixtures, p_k, q_an
 from percop.perfect import is_perfect_copositive, normalized_to_min_one
 from percop.walk import (Neighbor, PolyhedronRay, contiguous_perfect,
@@ -52,6 +52,18 @@ def test_contiguous_rejects_directions_outside_dual_cone():
     with pytest.raises(PreconditionError) as exc:
         contiguous_perfect(cert, bad)
     assert exc.value.reason == "direction-not-in-dual-cone"
+
+
+@pytest.mark.xfail(strict=True, raises=WalkUndecidedError,
+                   reason="the step gives up after BISECT_LIMIT halvings; "
+                          "by the paper this direction ends at a neighbour "
+                          "or a ray")
+def test_vertex_30_direction_reaches_a_neighbour_or_ray():
+    # vertex 30 of the Q_A3/2 graph, in the order where the step fails
+    q = SymMat.from_rows([[6, -15, 6], [-15, 38, -15], [6, -15, 6]])
+    r = SymMat.from_rows([[8, -32, 15], [-32, 120, -54], [15, -54, 24]])
+    step = contiguous_perfect(_half_cert(q.scale(Fraction(1, 2))), r)
+    assert isinstance(step, (Neighbor, PolyhedronRay))
 
 
 def test_contiguous_rejects_zero_direction():
