@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 
-from .core import Rat, SymMat, dim_sym, inner
+from .core import Rat, SymMat, dim_sym, inner, int_rref, primitive
 from .errors import PreconditionError
 
 
@@ -59,49 +58,11 @@ def pairing_coeffs(a: SymMat) -> tuple[Rat, ...]:
                  for k in range(dim_sym(n)))
 
 
-def _primitive(vec) -> tuple[int, ...]:
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(ints)
-    return tuple(x // g for x in ints)
-
-
 def _sign_fixed(vec: tuple[int, ...]) -> tuple[int, ...]:
     for x in vec:
         if x != 0:
             return vec if x > 0 else tuple(-y for y in vec)
     return vec
-
-
-def _int_rank(rows, ncols: int) -> int:
-    """Rank by fraction-free Gaussian elimination on integer rows."""
-    m = [list(r) for r in rows]
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            if f:
-                p = pr[c]
-                m[i] = [p * a - f * b for a, b in zip(m[i], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def extreme_rays(cone: ConeHRep) -> ConeVRep:
@@ -112,7 +73,7 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
     """
     D = dim_sym(cone.n)
     coeffs = sorted(
-        (_primitive(pairing_coeffs(a)) for a in cone.normals),
+        (primitive(pairing_coeffs(a)) for a in cone.normals),
         key=lambda c: (sum(1 for x in c if x == 0), c))
     lin = [tuple(Fraction(int(j == i)) for j in range(D)) for i in range(D)]
     rays = []  # (vector, bitmask of tight inequalities)
@@ -152,7 +113,7 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
                 if common.bit_count() < need:
                     continue
                 tight = [coeffs[t] for t in range(idx) if (common >> t) & 1]
-                if _int_rank(tight, D) != need:
+                if len(int_rref(tight, D)[1]) != need:
                     continue
                 combos.append(
                     (tuple(pv * x - mv * y for x, y in zip(m, p)),
@@ -161,14 +122,14 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
     seen = set()
     out = []
     for r, _ in rays:
-        p = _primitive(r)
+        p = primitive(r)
         if p not in seen:
             seen.add(p)
             out.append(p)
     ray_mats = [SymMat(cone.n, tuple(Fraction(x) for x in p))
                 for p in sorted(out)]
     lin_mats = [SymMat(cone.n, tuple(Fraction(x) for x in p))
-                for p in sorted(_sign_fixed(_primitive(l)) for l in lin)]
+                for p in sorted(_sign_fixed(primitive(l)) for l in lin)]
     return ConeVRep(tuple(ray_mats), tuple(lin_mats))
 
 

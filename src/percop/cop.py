@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul, or_, sub
 from typing import Union
 
-from .core import Rat, SymMat, inertia, quad_form
+from .core import (Rat, SymMat, _fraction_to_str, inertia, primitive,
+                   quad_form)
 from .errors import NotCopositiveError, PreconditionError, UndecidedError
 
 DEFAULT_DEPTH_LIMIT = 64
@@ -70,10 +71,8 @@ class MinResult:
 
 
 def minresult_to_json(result: MinResult) -> dict:
-    value = result.min_value
-    text = str(value.numerator) if value.denominator == 1 else "%d/%d" % (
-        value.numerator, value.denominator)
-    return {"min": text, "vectors": [list(v) for v in result.vectors]}
+    return {"min": _fraction_to_str(result.min_value),
+            "vectors": [list(v) for v in result.vectors]}
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +197,6 @@ def _bnb(bi, depth_limit, strict, cell_budget):
 def _witness_vector(vert) -> tuple[Rat, ...]:
     vec, e = vert
     return tuple(Fraction(x, 1 << e) for x in vec)
-
-
-def _witness_integral(vert) -> tuple[int, ...]:
-    vec, _ = vert
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return tuple(x // g for x in vec)
 
 
 def _decide(b: SymMat, depth_limit: int, cell_budget: int, strict: bool):
@@ -371,7 +362,7 @@ def _survey_below(b: SymMat, c,
     bi, den = _int_form(b)
     tag, data = _bnb(bi, depth_limit, True, cell_budget)
     if tag == 'not':
-        return ('not', _witness_integral(data))
+        return ('not', primitive(data[0]))
     if tag == 'undec':
         return ('undec', None)
     num, e = data
@@ -446,33 +437,11 @@ def classical_min(q: SymMat,
                   depth_limit: int = DEFAULT_DEPTH_LIMIT):
     """Arithmetical minimum of a positive definite Q over Z^n minus 0.
 
-    Computed as the union over the 2^(n-1) sign patterns D = diag(+-1), first
-    sign fixed +, of D*MinC(DQD); representatives are deduplicated up to
-    global sign, keeping the one whose first nonzero entry is positive.
+    Every lattice minimum is at most the smallest diagonal entry, so the
+    minimal vectors are the least-valued ones of classical_below at that
+    bound: one representative per +-pair, first nonzero entry positive.
     """
-    if not inertia(q).is_positive_definite():
-        raise PreconditionError("not-positive-definite",
-                                "classical minimum needs a positive definite matrix")
-    n = q.n
-    results = []
-    for bits in range(1 << (n - 1)):
-        signs = (1,) + tuple(-1 if (bits >> i) & 1 else 1
-                             for i in range(n - 1))
-        conj = SymMat.from_rows(
-            [[signs[i] * signs[j] * q.entry(i, j) for j in range(n)]
-             for i in range(n)])
-        results.append((signs, copositive_min(conj, depth_limit)))
-    best = min(r.min_value for _, r in results)
-    reps = set()
-    for signs, r in results:
-        if r.min_value != best:
-            continue
-        for v in r.vectors:
-            w = tuple(s * x for s, x in zip(signs, v))
-            for x in w:
-                if x != 0:
-                    if x < 0:
-                        w = tuple(-y for y in w)
-                    break
-            reps.add(w)
-    return best, tuple(sorted(reps))
+    found = classical_below(q, min(q.entry(i, i) for i in range(q.n)),
+                            depth_limit)
+    best = min(quad_form(q, v) for v in found)
+    return best, tuple(v for v in found if quad_form(q, v) == best)

@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -27,6 +30,14 @@ def coord_index(n: int, i: int, j: int) -> int:
 def dim_sym(n: int) -> int:
     """Dimension n(n+1)/2 of the space of symmetric n x n matrices."""
     return n * (n + 1) // 2
+
+
+def _rational(x) -> Rat:
+    """x as a Fraction; bools and inexact numbers like floats are refused."""
+    if isinstance(x, bool) or not isinstance(x, (Rational, str)):
+        raise ValueError("matrix entries must be integers, fractions or "
+                         "'p/q' strings, got %r" % (x,))
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -48,7 +59,7 @@ class SymMat:
             )
         if not all(isinstance(c, Fraction) for c in self.coords):
             object.__setattr__(
-                self, "coords", tuple(Fraction(c) for c in self.coords)
+                self, "coords", tuple(_rational(c) for c in self.coords)
             )
 
     @classmethod
@@ -57,7 +68,7 @@ class SymMat:
         for r in rows:
             if len(r) != n:
                 raise ValueError("matrix is not square")
-        grid = [[Fraction(x) for x in r] for r in rows]
+        grid = [[_rational(x) for x in r] for r in rows]
         for i in range(n):
             for j in range(i + 1, n):
                 if grid[i][j] != grid[j][i]:
@@ -79,7 +90,7 @@ class SymMat:
         return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
 
     def scale(self, t) -> "SymMat":
-        t = Fraction(t)
+        t = _rational(t)
         return SymMat(self.n, tuple(t * c for c in self.coords))
 
     def __add__(self, other: "SymMat") -> "SymMat":
@@ -100,7 +111,7 @@ class SymMat:
 
 
 def sym_from_coords(n: int, coords: Iterable) -> SymMat:
-    return SymMat(n, tuple(Fraction(c) for c in coords))
+    return SymMat(n, tuple(coords))
 
 
 def identity(n: int) -> SymMat:
@@ -174,93 +185,98 @@ class Inertia:
 
 
 def inertia(q: SymMat) -> Inertia:
-    """Signs of the eigenvalues, computed by exact symmetric congruence.
+    """Signs of the eigenvalues, read off the characteristic polynomial.
 
-    Congruence transformations preserve the inertia, so Gaussian steps
-    applied simultaneously to rows and columns read off the signature
-    without ever leaving the rationals.
+    Faddeev-LeVerrier gives det(xI - A) for the integer matrix A = den*Q;
+    its divisions by k are exact over the integers.  A symmetric matrix has
+    only real eigenvalues, so Descartes' rule of signs counts the positive
+    ones exactly, and the zero ones are the trailing zero coefficients.
     """
     n = q.n
-    m = [row[:] for row in q.rows()]
-    active = list(range(n))
-    n_pos = n_neg = n_zero = 0
-    while active:
-        piv = None
-        for i in active:
-            if m[i][i] != 0:
-                piv = i
-                break
+    den = lcm(*(c.denominator for c in q.coords))
+    a = [[int(x * den) for x in row] for row in q.rows()]
+    coeffs = [1]  # of x^n, x^(n-1), ..., x^0
+    m = [[0] * n for _ in range(n)]  # A M_(k-1), with M_0 = 0
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+        m = [[sum(map(mul, row, col)) for col in zip(*m)] for row in a]
+        coeffs.append(-sum(m[i][i] for i in range(n)) // k)
+    n_zero = n - max(i for i, c in enumerate(coeffs) if c)
+    signs = [c > 0 for c in coeffs if c]
+    n_pos = sum(s != t for s, t in zip(signs, signs[1:]))
+    return Inertia(n_pos, n_zero, n - n_pos - n_zero)
+
+
+# ---------------------------------------------------------------------------
+# exact integer linear algebra
+
+def primitive(vec) -> tuple[int, ...]:
+    """The integer vector of content 1 on the ray of a rational vector.
+
+    The zero vector stays zero.
+    """
+    den = lcm(1, *(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
+def int_rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) on integer rows.
+
+    Returns (m, pivots).  Row i < len(pivots) of m holds the common pivot
+    value d at column pivots[i] and 0 at every other pivot column; the
+    rows after them are zero.  Every row other than the pivot row is
+    updated at every pivot, even where its multiplier is 0, so each
+    division by the previous pivot is exact.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
-            # no usable diagonal; bring a nonzero off-diagonal entry onto it
-            found = None
-            for ai in range(len(active)):
-                for aj in range(ai + 1, len(active)):
-                    i, j = active[ai], active[aj]
-                    if m[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                n_zero += len(active)
-                break
-            i, j = found
-            # x_i += x_j turns the (i, i) entry into 2*m[i][j] != 0
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
             continue
-        d = m[piv][piv]
-        if d > 0:
-            n_pos += 1
-        else:
-            n_neg += 1
-        active.remove(piv)
-        mult = {j: m[j][piv] / d for j in active}
-        for j in active:
-            f = mult[j]
-            if f == 0:
-                continue
-            for k in range(n):
-                m[j][k] -= f * m[piv][k]
-        for j in active:
-            f = mult[j]
-            if f == 0:
-                continue
-            for k in range(n):
-                m[k][j] -= f * m[k][piv]
-    return Inertia(n_pos, n_zero, n_neg)
+        m[r], m[piv] = m[piv], m[r]
+        pr = m[r]
+        p = pr[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+        prev = p
+        pivots.append(c)
+    return m, pivots
+
+
+def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x : rows . x = 0}, one per free column.
+
+    The vector of free column f is positive at f and zero at every other
+    free column.
+    """
+    m, pivots = int_rref(rows, ncols)
+    d = m[0][pivots[0]] if pivots else 1
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = d
+        for row, c in zip(m, pivots):
+            vec[c] = -row[f]
+        basis.append(primitive(vec if d > 0 else [-x for x in vec]))
+    return basis
 
 
 def row_rank(rows: list[list[Rat]]) -> int:
-    """Rank of a rational matrix by plain Gaussian elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    """Rank of a rational matrix."""
+    ints = [primitive(r) for r in rows]
+    return len(int_rref(ints, len(ints[0]) if ints else 0)[1])
 
 
 def span_rank(mats: Iterable[SymMat]) -> int:
@@ -283,16 +299,6 @@ def _fraction_to_str(x: Rat) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def _parse_fraction(s) -> Rat:
-    if isinstance(s, bool):
-        raise ValueError("boolean is not a matrix entry")
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
-    raise ValueError("matrix entries must be integers or 'p/q' strings, got %r" % (s,))
-
-
 def mat_to_json(q: SymMat) -> dict:
     rows = q.rows()
     return {
@@ -312,12 +318,10 @@ def mat_from_json(obj) -> SymMat:
         raise ValueError("'n' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != n:
         raise ValueError("'entries' must be a list of %d rows" % n)
-    rows = []
     for r in entries:
         if not isinstance(r, list) or len(r) != n:
             raise ValueError("each row must be a list of %d entries" % n)
-        rows.append([_parse_fraction(x) for x in r])
-    return SymMat.from_rows(rows)
+    return SymMat.from_rows(entries)
 
 
 def mat_dumps(q: SymMat) -> str:

@@ -16,7 +16,8 @@ from math import gcd
 
 from .cop import (DEFAULT_DEPTH_LIMIT, classical_below, classical_min,
                   copositive_min)
-from .core import SymMat, dim_sym, inertia, quad_form, span_rank_of_vectors
+from .core import (SymMat, dim_sym, inertia, int_rref, quad_form,
+                   span_rank_of_vectors)
 from .errors import PreconditionError
 from .perfect import is_perfect_copositive
 
@@ -125,16 +126,11 @@ def minkowski_reduced_check(q: SymMat,
 
 
 def _invert_unitriangular(l: list[list[int]]) -> list[list[int]]:
+    """L^-1 from the reduced [L | I]: every pivot of L is 1."""
     n = len(l)
-    inv = [[0] * n for _ in range(n)]
-    for k in range(n):
-        col = [0] * n
-        col[k] = 1
-        for i in range(k + 1, n):
-            col[i] = -sum(l[i][j] * col[j] for j in range(k, i))
-        for i in range(n):
-            inv[i][k] = col[i]
-    return inv
+    m, _ = int_rref([row + [int(i == j) for j in range(n)]
+                     for i, row in enumerate(l)], 2 * n)
+    return [row[n:] for row in m]
 
 
 def embed_classical(q: SymMat,

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import ConeVRep
+from .cones import ConeVRep, pairing_coeffs
 from .cop import (DEFAULT_DEPTH_LIMIT, MinResult, NotCopositive,
                   copositive_min)
-from .core import (Rat, SymMat, coord_index, dim_sym, inertia, inner,
-                   rank_one, span_rank_of_vectors)
+from .core import (Rat, SymMat, _fraction_to_str, dim_sym, inertia, inner,
+                   int_rref, mat_to_json, primitive, rank_one,
+                   span_rank_of_vectors)
 from .errors import NotCopositiveError, PreconditionError
 
 
@@ -93,42 +94,17 @@ def recover_from_minvecs(vectors, value: Rat):
         raise PreconditionError("dimension-mismatch",
                                 "minimal vectors of mixed dimension")
     D = dim_sym(n)
-    rows = []
-    for v in vectors:
-        row = [Fraction(0)] * (D + 1)
-        for i in range(n):
-            row[i] = Fraction(v[i] * v[i])
-            for j in range(i + 1, n):
-                row[coord_index(n, i, j)] = Fraction(2 * v[i] * v[j])
-        row[D] = Fraction(value)
-        rows.append(row)
-    pivots = []
-    r = 0
-    for c in range(D):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        inv = 1 / pr[c]
-        rows[r] = pr = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][D] != 0:
-            raise PreconditionError(
-                "inconsistent-minima",
-                "no symmetric matrix attains the value on all vectors")
-    if r < D:
-        return Underdetermined(D - r)
-    coords = [Fraction(0)] * D
-    for row, c in zip(rows, pivots):
-        coords[c] = row[D]
-    return SymMat(n, tuple(coords))
+    rows = [primitive(pairing_coeffs(rank_one(v)) + (Fraction(value),))
+            for v in vectors]
+    m, pivots = int_rref(rows, D + 1)
+    if pivots and pivots[-1] == D:
+        raise PreconditionError(
+            "inconsistent-minima",
+            "no symmetric matrix attains the value on all vectors")
+    if len(pivots) < D:
+        return Underdetermined(D - len(pivots))
+    d = m[0][0]
+    return SymMat(n, tuple(Fraction(row[D], d) for row in m[:D]))
 
 
 def voronoi_cone(cert: PerfectCertificate) -> ConeVRep:
@@ -188,7 +164,6 @@ def classify_component(q: SymMat, witness: SymMat | None = None
 
 
 def certificate_to_json(cert: PerfectCertificate) -> dict:
-    from .core import mat_to_json, _fraction_to_str
     return {
         "matrix": mat_to_json(cert.matrix),
         "min": _fraction_to_str(cert.min_value),

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations, permutations
-from math import gcd, lcm
 
 from .cones import ConeHRep, extreme_rays
 from .cop import (DEFAULT_DEPTH_LIMIT, Copositive, NotCopositive, Undecided,
                   _survey_below, certify_copositive)
-from .core import (Rat, SymMat, dim_sym, inertia, mat_to_json, quad_form,
-                   rank_one, span_rank_of_vectors)
+from .core import (Rat, SymMat, dim_sym, inertia, mat_to_json, nullspace,
+                   primitive, quad_form, rank_one, span_rank_of_vectors)
 from .errors import PreconditionError, WalkUndecidedError
 from .perfect import PerfectCertificate, is_perfect_copositive
 
@@ -66,17 +65,6 @@ class UndecidedDirection:
 WalkStep = Neighbor | PolyhedronRay | UndecidedDirection
 
 
-def _integral(vec) -> tuple[int, ...]:
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints) if g else tuple(ints)
-
-
 def kernel_zero(q: SymMat):
     """A nonzero integer v >= 0 with Q[v] = 0, or None.
 
@@ -87,35 +75,17 @@ def kernel_zero(q: SymMat):
     n = q.n
     for size in range(1, n + 1):
         for sub in combinations(range(n), size):
-            m = [[q.entry(i, j) for j in sub] for i in sub]
-            pivots = []
-            r = 0
-            for c in range(size):
-                piv = next((i for i in range(r, size) if m[i][c] != 0), None)
-                if piv is None:
+            rows = [primitive([q.entry(i, j) for j in sub]) for i in sub]
+            # each basis vector is positive at its free column, so a
+            # one-signed one is nonnegative
+            for vec in nullspace(rows, size):
+                if min(vec) < 0:
                     continue
-                m[r], m[piv] = m[piv], m[r]
-                m[r] = [x / m[r][c] for x in m[r]]
-                for i in range(size):
-                    if i != r and m[i][c] != 0:
-                        f = m[i][c]
-                        m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-                pivots.append(c)
-                r += 1
-            free = [c for c in range(size) if c not in pivots]
-            for fc in free:
-                vec = [Fraction(0)] * size
-                vec[fc] = Fraction(1)
-                for ri, pc in enumerate(pivots):
-                    vec[pc] = -m[ri][fc]
-                if all(x >= 0 for x in vec) or all(x <= 0 for x in vec):
-                    sgn = 1 if sum(vec) > 0 else -1
-                    full = [Fraction(0)] * n
-                    for idx, x in zip(sub, vec):
-                        full[idx] = sgn * x
-                    v = _integral(full)
-                    if any(v) and quad_form(q, v) == 0:
-                        return v
+                v = [0] * n
+                for idx, x in zip(sub, vec):
+                    v[idx] = x
+                if quad_form(q, v) == 0:
+                    return tuple(v)
     return None
 
 
@@ -169,7 +139,7 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
             if isinstance(soft, Copositive):
                 v = kernel_zero(q)
             elif isinstance(soft, NotCopositive):
-                v = _integral(soft.witness)
+                v = primitive(soft.witness)
             if v is not None and quad_form(r, v) < 0 and quad_form(q, v) < 1:
                 known.append(v)
                 lam = (1 - quad_form(p, v)) / quad_form(r, v)
@@ -246,15 +216,18 @@ def _best_permutation(q: SymMat):
     return bestp
 
 
+def _permuted(q: SymMat, perm) -> SymMat:
+    n = q.n
+    return SymMat.from_rows([[q.entry(perm[i], perm[j]) for j in range(n)]
+                             for i in range(n)])
+
+
 def perm_canonical(q: SymMat) -> SymMat:
     """Lexicographic minimum of P^T Q P over all permutation matrices P.
 
     Matrices are compared by their upper triangles read row by row.
     """
-    perm = _best_permutation(q)
-    n = q.n
-    return SymMat.from_rows([[q.entry(perm[i], perm[j]) for j in range(n)]
-                             for i in range(n)])
+    return _permuted(q, _best_permutation(q))
 
 
 def matrix_key(q: SymMat) -> str:
@@ -264,11 +237,8 @@ def matrix_key(q: SymMat) -> str:
 
 def _canonical_certificate(cert: PerfectCertificate):
     perm = _best_permutation(cert.matrix)
-    n = cert.matrix.n
-    canonical = SymMat.from_rows(
-        [[cert.matrix.entry(perm[i], perm[j]) for j in range(n)]
-         for i in range(n)])
-    vectors = tuple(sorted(tuple(v[perm[i]] for i in range(n))
+    canonical = _permuted(cert.matrix, perm)
+    vectors = tuple(sorted(tuple(v[p] for p in perm)
                            for v in cert.min_vectors))
     ccert = PerfectCertificate(canonical, cert.min_value, vectors,
                                cert.span_rank)

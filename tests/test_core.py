@@ -1,15 +1,24 @@
-"""Exact arithmetic layer: construction, pairings, inertia, serialization."""
+"""Exact arithmetic layer: construction, pairings, inertia, the integer
+kernel, serialization."""
 
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from percop.core import (SymMat, basis_e, coord_index, dim_sym, identity,
-                         inertia, inner, mat_dumps, mat_from_json, mat_loads,
-                         mat_to_json, quad_form, rank_one, span_rank,
+                         inertia, inner, int_rref, mat_dumps, mat_from_json,
+                         mat_loads, mat_to_json, nullspace, primitive,
+                         quad_form, rank_one, row_rank, span_rank,
                          span_rank_of_vectors)
 from percop.families import fixtures, q_an, p_k
 
@@ -115,27 +124,32 @@ def test_inertia_zero_diagonal_pivot():
     assert (ine.n_pos, ine.n_zero, ine.n_neg) == (1, 0, 1)
 
 
-def _random_unimodular(rng, n):
-    m = sympy.eye(n)
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        m[i, :] = m[i, :] + rng.randint(-2, 2) * m[j, :]
-    return m
+@st.composite
+def _congruent_to_diagonal(draw):
+    """A diagonal D, zeros allowed, and P^T D P for a unimodular P."""
+    diag = draw(st.lists(st.fractions(-5, 5, max_denominator=4),
+                         min_size=1, max_size=6))
+    n = len(diag)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                    st.integers(-3, 3))
+    for i, j, k in draw(st.lists(ops, max_size=3 * n)):
+        if i != j:
+            p[i] = [a + k * b for a, b in zip(p[i], p[j])]
+    m = [[sum(p[t][i] * diag[t] * p[t][j] for t in range(n))
+          for j in range(n)] for i in range(n)]
+    return diag, SymMat.from_rows(m)
 
 
-def test_inertia_sylvester_invariance():
+@settings(deadline=None)
+@given(_congruent_to_diagonal())
+def test_inertia_sylvester_invariance(case):
     """Congruence by a unimodular matrix preserves the signature."""
-    rng = random.Random(23)
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        diag = [rng.choice([-1, 0, 1]) for _ in range(n)]
-        a = _random_unimodular(rng, n)
-        d = sympy.diag(*diag)
-        m = a.T * d * a
-        got = inertia(SymMat.from_rows(m.tolist()))
-        assert got.n_pos == sum(1 for x in diag if x > 0)
-        assert got.n_zero == sum(1 for x in diag if x == 0)
-        assert got.n_neg == sum(1 for x in diag if x < 0)
+    diag, m = case
+    got = inertia(m)
+    assert got.n_pos == sum(1 for x in diag if x > 0)
+    assert got.n_zero == sum(1 for x in diag if x == 0)
+    assert got.n_neg == sum(1 for x in diag if x < 0)
 
 
 def test_inertia_rank_helpers():
@@ -144,6 +158,98 @@ def test_inertia_rank_helpers():
     assert ine.is_positive_semidefinite()
     assert not ine.is_positive_definite()
     assert inertia(q_an(4)).is_positive_definite()
+
+
+def _int_matrices(max_rows, max_cols, bound=5):
+    """(ncols, rows): up to max_rows integer rows of one length ncols."""
+    return st.integers(1, max_cols).flatmap(lambda c: st.tuples(
+        st.just(c),
+        st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                 max_size=max_rows)))
+
+
+@settings(deadline=None)
+@given(_int_matrices(8, 8))
+def test_int_rref_is_the_scaled_rref(case):
+    """Rank and pivots agree with sympy; pivot rows are d times its RREF."""
+    ncols, rows = case
+    m, pivots = int_rref(rows, ncols)
+    if not rows:
+        assert (m, pivots) == ([], [])
+        return
+    want, want_pivots = sympy.Matrix(rows).rref()
+    assert tuple(pivots) == want_pivots
+    d = m[0][pivots[0]] if pivots else 1
+    for i, row in enumerate(m):
+        assert row == ([d * x for x in want.row(i)] if i < len(pivots)
+                       else [0] * ncols)
+
+
+@st.composite
+def _dense_products(draw):
+    """n x k times k x n integer matrices: dense, of rank at most k."""
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(1, n))
+
+    def mat(r, c):
+        return draw(st.lists(st.lists(st.integers(-9, 9), min_size=c,
+                                      max_size=c), min_size=r, max_size=r))
+
+    a, b = mat(n, k), mat(k, n)
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_dense_products())
+def test_int_rref_rank_on_dense_matrices(rows):
+    n = len(rows)
+    want = DomainMatrix([[QQ(x) for x in row] for row in rows], (n, n),
+                        QQ).rank()
+    assert len(int_rref(rows, n)[1]) == want
+
+
+@settings(deadline=None)
+@given(_int_matrices(8, 8, bound=3))
+def test_nullspace_is_a_primitive_basis(case):
+    ncols, rows = case
+    _, pivots = int_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - len(pivots)
+    for f, v in zip(free, basis):
+        assert gcd(*v) == 1
+        assert all(sum(map(mul, row, v)) == 0 for row in rows)
+        assert v[f] > 0 and all(v[g] == 0 for g in free if g != f)
+
+
+def test_primitive_examples():
+    assert primitive((Fraction(1, 2), Fraction(-3, 4), 0)) == (2, -3, 0)
+    assert primitive((6, -4)) == (3, -2)
+    assert primitive((0, 0)) == (0, 0)
+
+
+def test_row_rank_of_rational_rows():
+    half = Fraction(1, 2)
+    assert row_rank([[half, 1], [1, 2], [0, Fraction(1, 3)]]) == 2
+    assert row_rank([[0, 0]]) == 0
+    assert row_rank([]) == 0
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.5, True, False, None, 1j,
+                                 Decimal("0.5")])
+def test_symmat_refuses_inexact_entries(bad):
+    with pytest.raises(ValueError):
+        SymMat.from_rows([[bad]])
+    with pytest.raises(ValueError):
+        SymMat(1, (bad,))
+    with pytest.raises(ValueError):
+        q_an(2).scale(bad)
+
+
+def test_symmat_accepts_rational_entries():
+    m = SymMat.from_rows([[1, "1/3"], [Fraction(1, 3), sympy.Integer(2)]])
+    assert m.coords == (1, 2, Fraction(1, 3))
+    assert SymMat(1, ("3/6",)).coords == (Fraction(1, 2),)
 
 
 def test_span_rank_examples():
@@ -184,6 +290,8 @@ def test_json_round_trip():
 def test_json_reader_rejects_floats():
     with pytest.raises(ValueError):
         mat_from_json({"n": 1, "entries": [[1.5]]})
+    with pytest.raises(ValueError):
+        mat_from_json({"n": 1, "entries": [[True]]})
 
 
 def test_json_reader_rejects_asymmetry():
