@@ -9,7 +9,9 @@ v_i^T B v_j and squared edge lengths as flat integer lists scaled by 4^d, so
 every comparison within a cell is an integer comparison and a split only
 shifts what the children inherit.  A vertex leaves the partition (as a
 witness, or to break a tie between equally long edges) in lowest terms: an
-integer tuple plus a binary exponent.
+integer tuple plus a binary exponent.  The survey of the walk, which asks
+for a lattice point below a threshold c, tests each vertex as it is created
+and stops at the first whose lowest-terms lattice point lies below c.
 
 Minimal-vector enumeration turns a simplex lower bound mu into the search
 radius |v|_1 <= sqrt(c/mu) via B[v] = |v|_1^2 * B[v/|v|_1] and walks the
@@ -96,14 +98,24 @@ def _reduced(vec, depth):
     return (vec, depth - k)
 
 
-def _bnb(bi, depth_limit, strict, cell_budget):
+def _bnb(bi, depth_limit, strict, cell_budget, below=None):
     """Partition loop on an integer matrix.
 
     Returns ('strict'|'cop', (num, exp)) with the bound num/2^exp, or
     ('not', vertex) with the vertex as (integer tuple, exponent) in lowest
-    terms, or ('undec', depth).
+    terms, or ('undec', depth).  With below = (num, den), a positive
+    threshold t = num/den, every vertex is tested as it is created (the unit
+    vectors, then each midpoint): if its lowest-terms integer point u has
+    u^T bi u < t, that vertex comes back as 'not'.  A negative vertex is
+    one of these, so 'not' then means a partition vertex below t.
     """
     n = len(bi)
+    root_verts = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    if below is not None:
+        bnum, bden = below
+        for i in range(n):
+            if bi[i][i] * bden < bnum:
+                return ('not', (root_verts[i], 0))
     if n == 1:
         v = bi[0][0]
         if v < 0:
@@ -128,7 +140,6 @@ def _bnb(bi, depth_limit, strict, cell_budget):
     touched = [[(k, pair_at[i][k], edge_at[i][k]) for k in range(n) if k != i]
                for i in range(n)]
     floor = 1 if strict else 0  # pair values are integers: > 0 is >= 1
-    root_verts = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     stack = [(root_verts, root_pairs, [2] * len(edges), 0)]
     mu = None
     undecided = False
@@ -168,6 +179,13 @@ def _bnb(bi, depth_limit, strict, cell_budget):
         mid = tuple([a + b for a, b in zip(verts[si], verts[sj])])
         bmid = [sum(map(mul, row, mid)) for row in bi]
         mid_self = sum(map(mul, mid, bmid))
+        if below is not None:
+            # mid/2^(depth+1) = u/2^(depth+1-k) with u = mid >> k integral,
+            # and u^T bi u = mid_self >> 2k
+            bits = reduce(or_, mid)
+            k = (bits & -bits).bit_length() - 1
+            if (mid_self >> 2 * k) * bden < bnum:
+                return ('not', _reduced(mid, depth + 1))
         shifted = [tuple([x << 1 for x in v]) for v in verts]
         dots = [sum(map(mul, v, bmid)) for v in shifted]
         dist = []
@@ -353,21 +371,32 @@ def _survey_below(b: SymMat, c,
                   depth_limit: int = DEFAULT_DEPTH_LIMIT,
                   cell_budget: int = DEFAULT_CELL_BUDGET,
                   radius_cap: int | None = None):
-    """Test-then-enumerate in one call, shared by the minimum and the walk.
+    """Test-then-enumerate in one call, the survey step of the walk.
 
-    Returns ('ok', vectors), ('not', integral violator) or ('undec', None).
-    With a radius cap the caller opts into 'undec' for searches whose 1-norm
-    bound explodes (near-boundary matrices during a walk).
+    Returns ('not', v), ('ok', vectors) or ('undec', None) for a threshold
+    c > 0.  'not' gives a primitive integral v >= 0 with B[v] < c: the first
+    vertex of the strict test's simplex partition whose lowest-terms integer
+    point lies below c (so a matrix that is not copositive, or whose
+    boundary zero is a dyadic point, is refuted at a shallow depth).  'ok'
+    gives every nonzero integral v >= 0 with B[v] <= c, sorted, once the
+    strict test has certified B.  With a radius cap the caller opts into
+    'undec' for searches whose 1-norm bound explodes (near-boundary
+    matrices during a walk).
     """
+    c = Fraction(c)
+    if c <= 0:
+        raise PreconditionError("c-not-positive",
+                                "threshold c must be positive, got %s" % c)
     bi, den = _int_form(b)
-    tag, data = _bnb(bi, depth_limit, True, cell_budget)
+    c_scaled = c * den
+    tag, data = _bnb(bi, depth_limit, True, cell_budget,
+                     (c_scaled.numerator, c_scaled.denominator))
     if tag == 'not':
         return ('not', primitive(data[0]))
     if tag == 'undec':
         return ('undec', None)
     num, e = data
     mu_scaled = Fraction(num, 1 << e)
-    c_scaled = Fraction(c) * den
     radius = _radius(c_scaled, mu_scaled)
     if radius_cap is not None and radius > radius_cap:
         return ('undec', None)

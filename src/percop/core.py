@@ -110,10 +110,6 @@ class SymMat:
         return all(c >= 0 for c in self.coords)
 
 
-def sym_from_coords(n: int, coords: Iterable) -> SymMat:
-    return SymMat(n, tuple(coords))
-
-
 def identity(n: int) -> SymMat:
     coords = [Fraction(1)] * n + [Fraction(0)] * (dim_sym(n) - n)
     return SymMat(n, tuple(coords))

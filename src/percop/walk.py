@@ -6,11 +6,18 @@ certifies R copositive (then P + mu R stays a vertex-free face for every mu:
 a polyhedron ray) or finds the exact maximal lambda with
 minC(P + lambda R) = 1, which is the contiguous perfect matrix.
 
-The iteration doubles lambda while the minimum stays at 1 and pulls back
-through the exact linear formula (1 - P[v]) / R[v] whenever a violator v
-appears.  Two fallbacks handle surveys that fail near the copositive
-boundary: extracting an exact zero of a singular copositive intermediate
-matrix, and bisection with a running ceiling.
+The iteration doubles lambda while the minimum stays at 1.  Every violator
+v (an integral v >= 0 with (P + lambda R)[v] < 1) has R[v] < 0, so it stays
+a violator exactly for lambda above its pullback (1 - P[v]) / R[v]; the step
+keeps the least pullback seen as a running bound and clips lambda to it, so
+each violator is evaluated once.  A survey of P + lambda R stops at the
+first vertex of its simplex partition whose lattice point lies below 1,
+which refutes at a shallow depth when the matrix is not copositive or its
+boundary zero is a dyadic point.  Two fallbacks handle surveys that stay
+undecided near the copositive boundary: an exact zero of the intermediate
+matrix from the kernels of its principal submatrices, then the witness of
+a non-strict test, and, when neither is a violator, bisection with a
+running ceiling.
 """
 
 from __future__ import annotations
@@ -89,6 +96,10 @@ def kernel_zero(q: SymMat):
     return None
 
 
+def _violates(r: SymMat, q: SymMat, v) -> bool:
+    return quad_form(r, v) < 0 and quad_form(q, v) < 1
+
+
 def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
                        depth_limit: int = DEFAULT_DEPTH_LIMIT) -> WalkStep:
     """Walk one edge of the Ryshkov polyhedron; exact in every branch."""
@@ -120,41 +131,37 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
     lam_lo = Fraction(0)
     ceiling = None
     halvings = 0
-    known = []  # every violator seen so far; each pullback is exact
+    # every violator v has R[v] < 0, so (P + lam R)[v] < 1 exactly when lam
+    # exceeds its pullback (1 - P[v]) / R[v]; bound is the least pullback
+    bound = None
     while True:
+        if bound is not None and lam > bound:
+            lam = bound
         q = p + r.scale(lam)
-        hit = [v for v in known if quad_form(q, v) < 1]
-        if hit:
-            lam = min((1 - quad_form(p, v)) / quad_form(r, v) for v in hit)
-            continue
         tag, data = _survey_below(q, 1, depth_limit,
                                   WALK_CELL_BUDGET, WALK_RADIUS_CAP)
         if tag == 'not':
-            known.append(data)
-            lam = (1 - quad_form(p, data)) / quad_form(r, data)
-            continue
-        if tag == 'undec':
-            soft = certify_copositive(q, depth_limit, WALK_CELL_BUDGET)
-            v = None
-            if isinstance(soft, Copositive):
-                v = kernel_zero(q)
-            elif isinstance(soft, NotCopositive):
-                v = primitive(soft.witness)
-            if v is not None and quad_form(r, v) < 0 and quad_form(q, v) < 1:
-                known.append(v)
-                lam = (1 - quad_form(p, v)) / quad_form(r, v)
+            violators = [data]
+        elif tag == 'undec':
+            v = kernel_zero(q)
+            if v is None or not _violates(r, q, v):
+                soft = certify_copositive(q, depth_limit, WALK_CELL_BUDGET)
+                v = (primitive(soft.witness)
+                     if isinstance(soft, NotCopositive) else None)
+            if v is None or not _violates(r, q, v):
+                halvings += 1
+                if halvings > BISECT_LIMIT:
+                    raise WalkUndecidedError(lam)
+                ceiling = lam if ceiling is None else min(ceiling, lam)
+                lam = (lam_lo + lam) / 2
                 continue
-            halvings += 1
-            if halvings > BISECT_LIMIT:
-                raise WalkUndecidedError(lam)
-            ceiling = lam if ceiling is None else min(ceiling, lam)
-            lam = (lam_lo + lam) / 2
-            continue
-        violators = [v for v in data if quad_form(q, v) < 1]
+            violators = [v]
+        else:
+            violators = [v for v in data if quad_form(q, v) < 1]
         if violators:
-            known.extend(violators)
-            lam = min((1 - quad_form(p, v)) / quad_form(r, v)
-                      for v in violators)
+            # each pullback is below lam, so below the old bound too
+            bound = min((1 - quad_form(p, v)) / quad_form(r, v)
+                        for v in violators)
             continue
         # every surveyed vector attains exactly 1 here
         new = tuple(sorted(v for v in data if quad_form(r, v) < 0))

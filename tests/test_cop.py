@@ -12,16 +12,19 @@ from itertools import product
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from percop.cop import (Copositive, NotCopositive, StrictlyCopositive,
-                        Undecided, _bnb, _int_form, certify_copositive,
-                        classical_below, classical_min, copositive_min,
-                        enumerate_below, minresult_to_json)
+                        Undecided, _bnb, _int_form, _survey_below,
+                        certify_copositive, classical_below, classical_min,
+                        copositive_min, enumerate_below, minresult_to_json)
 from percop.cop import test_copositivity as check_cop
 from percop.core import SymMat, basis_e, identity, quad_form
 from percop.errors import (NotCopositiveError, PreconditionError,
                            UndecidedError)
 from percop.families import fixtures, p_k, q_an
+from percop.walk import kernel_zero
 
 
 def _sym2(a, b, c):
@@ -237,6 +240,66 @@ def test_enumerate_below_against_box():
         assert enumerate_below(b, c, verdict.mu_lb) == \
             _box_brute_force(b, c, verdict.mu_lb)
         checked += 1
+
+
+def _is_below(b, c, v):
+    return (all(isinstance(x, int) and x >= 0 for x in v) and any(v)
+            and quad_form(b, v) < c)
+
+
+def test_survey_refutes_at_a_dyadic_zero():
+    # PSD and singular, zero at (1,0,1)/2: the midpoint of an edge of the
+    # partition is a lattice point with value 0
+    half = Fraction(1, 2)
+    b = SymMat.from_rows([[1, half, -1], [half, 1, -half], [-1, -half, 1]])
+    tag, v = _survey_below(b, 1)
+    assert tag == 'not'
+    assert _is_below(b, 1, v)
+
+
+def test_survey_undecided_at_a_non_dyadic_zero():
+    # PSD and singular, zero at (2,2,1)/5, which no bisection reaches
+    half = Fraction(1, 2)
+    b = SymMat.from_rows([[1, -half, -1], [-half, 1, -1], [-1, -1, 4]])
+    assert _survey_below(b, 1) == ('undec', None)
+    assert kernel_zero(b) == (2, 2, 1)
+
+
+def test_survey_rejects_nonpositive_threshold():
+    with pytest.raises(PreconditionError) as exc:
+        _survey_below(identity(2), 0)
+    assert exc.value.reason == "c-not-positive"
+
+
+@st.composite
+def _survey_cases(draw):
+    n = draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 6) if i != j
+                                           else st.integers(-1, 8))
+    # a threshold above a positive diagonal entry refutes at the root, so
+    # one at the least diagonal entry is what reaches the enumeration
+    least = min(rows[i][i] for i in range(n))
+    c = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 4)))
+    if least > 0 and draw(st.booleans()):
+        c = Fraction(least)
+    return SymMat.from_rows(rows), c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_survey_cases())
+def test_survey_against_box(case):
+    b, c = case
+    tag, data = _survey_below(b, c, 24, 20_000)
+    if tag == 'not':
+        assert _is_below(b, c, data)
+    elif tag == 'ok':
+        verdict = check_cop(b, 24, 20_000)
+        assert isinstance(verdict, StrictlyCopositive)
+        assume(c / verdict.mu_lb <= 150)
+        assert data == _box_brute_force(b, c, verdict.mu_lb)
 
 
 def test_infinity_norm_bound_invariant():

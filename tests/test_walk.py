@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -17,6 +18,12 @@ from percop.walk import (Neighbor, PolyhedronRay, contiguous_perfect,
 
 def _half_cert(q):
     return normalized_to_min_one(is_perfect_copositive(q))
+
+
+@lru_cache(maxsize=None)
+def _an_neighbourhood(n):
+    cert = _half_cert(q_an(n))
+    return cert, neighbors_all(cert)
 
 
 def test_kernel_zero_finds_null_vector():
@@ -55,9 +62,11 @@ def test_contiguous_rejects_directions_outside_dual_cone():
 
 
 @pytest.mark.xfail(strict=True, raises=WalkUndecidedError,
-                   reason="the step gives up after BISECT_LIMIT halvings; "
-                          "by the paper this direction ends at a neighbour "
-                          "or a ray")
+                   reason="the step gives up after BISECT_LIMIT halvings, "
+                          "all 64 forced by WALK_RADIUS_CAP: the strict "
+                          "survey certifies, but at 1-norm radii from 8.6e8 "
+                          "up as lam falls toward 3/32; by the paper this "
+                          "direction ends at a neighbour or a ray")
 def test_vertex_30_direction_reaches_a_neighbour_or_ray():
     # vertex 30 of the Q_A3/2 graph, in the order where the step fails
     q = SymMat.from_rows([[6, -15, 6], [-15, 38, -15], [6, -15, 6]])
@@ -91,19 +100,71 @@ def test_a2_neighborhood():
 def test_neighbor_step_is_maximal():
     """Slightly larger lam along the same direction drops the minimum
     below one, so the returned lam is the exact pullback."""
-    cert = _half_cert(q_an(2))
-    for step in neighbors_all(cert):
-        if not isinstance(step, Neighbor):
-            continue
-        direction = step.matrix + cert.matrix.scale(-1)
-        r = direction.scale(Fraction(1, step.lam))
-        for eps in (Fraction(1, 10), Fraction(1, 1000)):
-            beyond = cert.matrix + r.scale(step.lam + eps)
-            hit = False
-            for v in step.certificate.min_vectors:
-                if quad_form(beyond, v) < 1:
-                    hit = True
-            assert hit
+    for n in (2, 3, 4):
+        cert, steps = _an_neighbourhood(n)
+        for step in steps:
+            if not isinstance(step, Neighbor):
+                continue
+            direction = step.matrix + cert.matrix.scale(-1)
+            r = direction.scale(Fraction(1, step.lam))
+            for eps in (Fraction(1, 10), Fraction(1, 1000)):
+                beyond = cert.matrix + r.scale(step.lam + eps)
+                hit = False
+                for v in step.certificate.min_vectors:
+                    if quad_form(beyond, v) < 1:
+                        hit = True
+                assert hit
+
+
+# lam and 2 x the neighbour matrix of every step of neighbors_all(Q_An/2),
+# in its order (None is the ray); recorded before the step kept a running
+# bound on lam
+_NEIGHBOUR_PINS = {
+    3: [
+        (Fraction(1, 2), [[2, -1, -1], [-1, 2, 0], [-1, 0, 2]]),
+        None,
+        (Fraction(1, 2), [[2, 0, -1], [0, 2, -1], [-1, -1, 2]]),
+        (Fraction(1, 2), [[2, -1, 0], [-1, 2, -2], [0, -2, 4]]),
+        (Fraction(1), [[2, -3, 2], [-3, 6, -3], [2, -3, 2]]),
+        (Fraction(1, 2), [[4, -2, 0], [-2, 2, -1], [0, -1, 2]]),
+    ],
+    4: [
+        (Fraction(1, 2), [[2, -1, -1, 1], [-1, 2, 0, -1], [-1, 0, 2, -1],
+                          [1, -1, -1, 2]]),
+        (Fraction(1, 2), [[2, -1, 0, -1], [-1, 2, -1, 1], [0, -1, 2, -1],
+                          [-1, 1, -1, 2]]),
+        (Fraction(1, 2), [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                          [0, -1, 0, 2]]),
+        None,
+        (Fraction(1, 2), [[2, -1, 1, -1], [-1, 2, -1, 0], [1, -1, 2, -1],
+                          [-1, 0, -1, 2]]),
+        (Fraction(1, 2), [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1],
+                          [0, 0, -1, 2]]),
+        (Fraction(1, 2), [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2],
+                          [0, 0, -2, 4]]),
+        (Fraction(1, 2), [[2, -1, 0, 0], [-1, 2, -2, 1], [0, -2, 4, -2],
+                          [0, 1, -2, 2]]),
+        (Fraction(1, 2), [[2, -2, 1, 0], [-2, 4, -2, 0], [1, -2, 2, -1],
+                          [0, 0, -1, 2]]),
+        (Fraction(1, 2), [[4, -2, 0, 0], [-2, 2, -1, 0], [0, -1, 2, -1],
+                          [0, 0, -1, 2]]),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(_NEIGHBOUR_PINS))
+def test_an_neighbourhood_pinned(n):
+    _, steps = _an_neighbourhood(n)
+    got = []
+    for step in steps:
+        if isinstance(step, PolyhedronRay):
+            got.append(None)
+        else:
+            assert isinstance(step, Neighbor)
+            got.append((step.lam, step.matrix.scale(2)))
+    want = [None if pin is None else (pin[0], SymMat.from_rows(pin[1]))
+            for pin in _NEIGHBOUR_PINS[n]]
+    assert got == want
 
 
 def test_neighbor_certificates_are_normalized_perfect():
