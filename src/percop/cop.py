@@ -17,7 +17,14 @@ Minimal-vector enumeration turns a simplex lower bound mu into the search
 radius |v|_1 <= sqrt(c/mu) via B[v] = |v|_1^2 * B[v/|v|_1] and walks the
 coordinates depth first.  Lower bounds for the trailing principal submatrices
 prune subtrees; the innermost coordinate is resolved by an exact integer
-interval instead of a scan.
+interval instead of a scan, and the one before it is limited to the exact
+interval on which the last two coordinates together can stay below c
+(when their 2x2 block is positive definite).  The copositive minimum runs
+the same search with the threshold as a falling cap: it starts at the least
+diagonal entry, and each vector found below it lowers the cap to that
+vector's value, drops the vectors kept so far and shrinks the radius
+sqrt(cap/mu) with it (the shrinking-radius enumeration of Schnorr and
+Euchner, Math. Programming 1994).
 """
 
 from __future__ import annotations
@@ -278,16 +285,32 @@ def _suffix_bounds(bi, mu0: Fraction, depth_limit, cell_budget):
     return mus
 
 
-def _enumerate_scaled(bi, cnum, cden, radius, mus):
-    """All nonzero v >= 0 with v^T bi v <= cnum/cden and |v|_1 <= radius."""
+def _enumerate_scaled(bi, cnum, cden, radius, mus, least=False):
+    """All nonzero v >= 0 with v^T bi v <= cnum/cden and |v|_1 <= radius.
+
+    With least=True the threshold is a cap and only the least value below it
+    is kept: each vector found below the cap lowers the cap to its value,
+    drops the vectors kept so far and shrinks the radius to
+    sqrt(cap/mus[0]) (mus[0] must be the simplex bound the radius came
+    from).  Returns (least value, its vectors) in that mode; the vectors
+    found in search order otherwise.
+    """
     n = len(bi)
     last = n - 1
     ann = bi[last][last]
     out = []
     v = [0] * n
+    # the current radius, read only after the cap has fallen
+    rad = [radius]
+    # the next-to-last coordinate only takes values for which the innermost
+    # interval is not empty, when the trailing 2x2 block is positive definite
+    pen = last - 1
+    pen_det = ann * bi[pen][pen] - bi[pen][last] ** 2 if n > 1 else 0
 
     def descend(k, budget, val, lin, nonzero):
-        # val = bi[prefix]; lin[j-k] = (bi . prefix)_j for j >= k
+        # val = bi[prefix]; lin[j-k] = (bi . prefix)_j for j >= k.  Returns
+        # True when the cap fell in this subtree (least mode only).
+        nonlocal cnum, cden
         if k == last:
             lead = lin[0]
             # cden*(ann*t^2 + 2*lead*t + val) <= cnum, completed square:
@@ -302,6 +325,15 @@ def _enumerate_scaled(bi, cnum, cden, radius, mus):
                 u = ann * t + lead
                 if cden * u * u <= dq:
                     v[last] = t
+                    if least:
+                        w = val + t * (2 * lead + ann * t)
+                        if cden * w < cnum:
+                            # lower the cap to w and rescan this interval
+                            cnum, cden = w, 1
+                            out.clear()
+                            rad[0] = _radius(Fraction(w), mus[0])
+                            descend(k, budget, val, lin, nonzero)
+                            return True
                     out.append(tuple(v))
             v[last] = 0
             return
@@ -323,15 +355,47 @@ def _enumerate_scaled(bi, cnum, cden, radius, mus):
                 return
         row = bi[k]
         diag = row[k]
-        for t in range(budget + 1):
+        lo, hi = 0, budget
+        if k == pen and pen_det > 0:
+            # the innermost dq at v[k] = t is a quadratic in t: dq >= 0 iff
+            # cden*(p*t^2 + 2*q*t + e) <= ann*cnum with p = pen_det and
+            # e = ann*val - lin[1]^2; completed square, as p > 0:
+            # cden*(p*t + q)^2 <= cden*(q^2 - p*e) + p*ann*cnum
+            r = row[last]
+            q = ann * lin[0] - lin[1] * r
+            dq = (cden * (q * q - pen_det * (ann * val - lin[1] * lin[1]))
+                  + pen_det * ann * cnum)
+            if dq < 0:
+                return
+            s = isqrt(dq // cden) + 1
+            lo = max(0, (-q - s) // pen_det - 1)
+            hi = min(budget, (-q + s) // pen_det + 1)
+        for t in range(lo, hi + 1):
             v[k] = t
-            descend(k + 1, budget - t,
+            if descend(k + 1, budget - t,
+                       val + 2 * t * lin[0] + diag * t * t,
+                       [lin[j - k] + t * row[j] for j in range(k + 1, n)],
+                       nonzero or t > 0):
+                break
+        else:
+            v[k] = 0
+            return
+        # the cap fell below v[k] = t: go on within the shrunken radius
+        used = sum(v[:k])
+        for t in range(t + 1, hi + 1):
+            if used + t > rad[0]:
+                break
+            v[k] = t
+            descend(k + 1, rad[0] - used - t,
                     val + 2 * t * lin[0] + diag * t * t,
                     [lin[j - k] + t * row[j] for j in range(k + 1, n)],
-                    nonzero or t > 0)
+                    True)
         v[k] = 0
+        return True
 
     descend(0, radius, 0, [0] * n, False)
+    if least:
+        return Fraction(cnum, cden), out
     return out
 
 
@@ -411,19 +475,25 @@ def copositive_min(b: SymMat,
                    depth_limit: int = DEFAULT_DEPTH_LIMIT) -> MinResult:
     """minC B and MinC B for strictly copositive B.
 
-    c0 = min_i B[e_i] is always attained by a unit vector, so enumerating
-    below it captures the minimum.  Results are cached; SymMat is immutable.
+    c0 = min_i B[e_i] is always attained by a unit vector, so the minimum
+    lies at or below it.  The enumeration starts with c0 as its cap and
+    lowers the cap, and the radius sqrt(cap/mu) with it, at each smaller
+    value it finds; what is kept at the end is the minimum and its vectors.
+    Results are cached; SymMat is immutable.
     """
     verdict = test_copositivity(b, depth_limit)
     if isinstance(verdict, NotCopositive):
         raise NotCopositiveError(verdict.witness)
     if isinstance(verdict, Undecided):
         raise UndecidedError(verdict.depth)
-    c0 = min(b.entry(i, i) for i in range(b.n))
-    found = enumerate_below(b, c0, verdict.mu_lb, depth_limit)
-    best = min(quad_form(b, v) for v in found)
-    vectors = tuple(sorted(v for v in found if quad_form(b, v) == best))
-    return MinResult(best, vectors)
+    bi, den = _int_form(b)
+    cap = min(bi[i][i] for i in range(b.n))
+    mu_scaled = verdict.mu_lb * den
+    mus = _suffix_bounds(bi, mu_scaled, depth_limit, DEFAULT_CELL_BUDGET)
+    best, found = _enumerate_scaled(bi, cap, 1,
+                                    _radius(Fraction(cap), mu_scaled), mus,
+                                    least=True)
+    return MinResult(best / den, tuple(sorted(found)))
 
 
 def classical_below(q: SymMat, c,

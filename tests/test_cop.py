@@ -16,9 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from percop.cop import (Copositive, NotCopositive, StrictlyCopositive,
-                        Undecided, _bnb, _int_form, _survey_below,
-                        certify_copositive, classical_below, classical_min,
-                        copositive_min, enumerate_below, minresult_to_json)
+                        Undecided, _bnb, _enumerate_scaled, _int_form,
+                        _radius, _survey_below, certify_copositive,
+                        classical_below, classical_min, copositive_min,
+                        enumerate_below, minresult_to_json)
 from percop.cop import test_copositivity as check_cop
 from percop.core import SymMat, basis_e, identity, quad_form
 from percop.errors import (NotCopositiveError, PreconditionError,
@@ -300,6 +301,85 @@ def test_survey_against_box(case):
         assert isinstance(verdict, StrictlyCopositive)
         assume(c / verdict.mu_lb <= 150)
         assert data == _box_brute_force(b, c, verdict.mu_lb)
+
+
+def _least_part(found, b):
+    best = min(quad_form(b, v) for v in found)
+    return best, tuple(v for v in found if quad_form(b, v) == best)
+
+
+@st.composite
+def _strict_cases(draw):
+    n = draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 6) if i != j
+                                           else st.integers(1, 9))
+    return SymMat.from_rows(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_strict_cases())
+def test_copositive_min_against_box(b):
+    verdict = check_cop(b, 24, 20_000)
+    assume(isinstance(verdict, StrictlyCopositive))
+    c0 = min(b.entry(i, i) for i in range(b.n))
+    assume(c0 / verdict.mu_lb <= 150)
+    res = copositive_min(b)
+    best, vectors = _least_part(_box_brute_force(b, c0, verdict.mu_lb), b)
+    assert (res.min_value, res.vectors) == (best, vectors)
+
+
+def _cap_falls(b, c, radius):
+    """The values at which a search in lexicographic order lowers cap c."""
+    falls = []
+    for v in product(range(radius + 1), repeat=b.n):
+        if any(v) and sum(v) <= radius:
+            value = quad_form(b, v)
+            if value < min(falls, default=c):
+                falls.append(value)
+    return falls
+
+
+# (integer matrix, cap numerator, cap denominator): caps above the least
+# diagonal entry, so that the search order meets values below the cap
+# before it meets the least one
+_FALLING_CAPS = [
+    ([[4, -3], [-3, 5]], 10, 1),
+    ([[4, -3], [-3, 5]], 21, 2),
+    ([[9, -4, 1], [-4, 6, -5], [1, -5, 7]], 12, 1),
+]
+
+
+@pytest.mark.parametrize("rows,cnum,cden", _FALLING_CAPS)
+def test_least_enumeration_keeps_only_the_final_attainers(rows, cnum, cden):
+    b = SymMat.from_rows(rows)
+    mu = check_cop(b).mu_lb
+    cap = Fraction(cnum, cden)
+    radius = _radius(cap, mu)
+    falls = _cap_falls(b, cap, radius)
+    assert len(falls) >= 2
+    best, found = _enumerate_scaled(rows, cnum, cden, radius, [mu] * b.n,
+                                    least=True)
+    below = _box_brute_force(b, cap, mu)
+    assert best == falls[-1]
+    assert (best, tuple(sorted(found))) == _least_part(below, b)
+    # the default mode keeps every vector below the cap
+    assert tuple(sorted(_enumerate_scaled(rows, cnum, cden, radius,
+                                          [mu] * b.n))) == below
+
+
+def test_copositive_min_of_e_in_reversed_order():
+    # radius 192 at the least diagonal entry 18/3 = 6, against 110 in the
+    # paper's order
+    fx = fixtures()
+    perm = (4, 3, 2, 1, 0)
+    m = SymMat.from_rows([[fx.E.entry(i, j) for j in perm] for i in perm])
+    res = copositive_min(m)
+    assert res.min_value == 2
+    assert res.vectors == tuple(sorted(tuple(v[i] for i in perm)
+                                       for v in fx.minc_E))
 
 
 def test_infinity_norm_bound_invariant():
