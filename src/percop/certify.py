@@ -83,9 +83,9 @@ def cp_certify(q: SymMat, step_budget: int = DEFAULT_STEP_BUDGET,
             return Factorization(pairs)
         vrep = extreme_rays(ConeHRep(q.n,
                                      tuple(generators)))
-        candidates = sorted(
-            ((inner(r, q), r) for r in vrep.rays if inner(r, q) < 0),
-            key=lambda t: (t[0], t[1].coords))
+        values = [(inner(r, q), r) for r in vrep.rays]
+        candidates = sorted((t for t in values if t[0] < 0),
+                            key=lambda t: (t[0], t[1].coords))
         moved = False
         for _, direction in candidates:
             if steps >= step_budget:

@@ -103,9 +103,6 @@ class SymMat:
     def __sub__(self, other: "SymMat") -> "SymMat":
         return self + other.scale(-1)
 
-    def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
     def has_nonneg_entries(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
@@ -310,7 +307,7 @@ def mat_from_json(obj) -> SymMat:
         raise ValueError("matrix JSON needs 'n' and 'entries' fields")
     n = obj["n"]
     entries = obj["entries"]
-    if not isinstance(n, int) or n <= 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
         raise ValueError("'n' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != n:
         raise ValueError("'entries' must be a list of %d rows" % n)

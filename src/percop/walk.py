@@ -10,14 +10,15 @@ The iteration doubles lambda while the minimum stays at 1.  Every violator
 v (an integral v >= 0 with (P + lambda R)[v] < 1) has R[v] < 0, so it stays
 a violator exactly for lambda above its pullback (1 - P[v]) / R[v]; the step
 keeps the least pullback seen as a running bound and clips lambda to it, so
-each violator is evaluated once.  A survey of P + lambda R stops at the
-first vertex of its simplex partition whose lattice point lies below 1,
-which refutes at a shallow depth when the matrix is not copositive or its
-boundary zero is a dyadic point.  Two fallbacks handle surveys that stay
-undecided near the copositive boundary: an exact zero of the intermediate
-matrix from the kernels of its principal submatrices, then the witness of
-a non-strict test, and, when neither is a violator, bisection with a
-running ceiling.
+each violator is evaluated once.  The bound starts at the pullback of the
+witness with R[w] < 0 that refuted the ray test, so lambda never runs off to
+infinity.  A survey of P + lambda R stops at the first vertex of its simplex
+partition whose lattice point lies below 1, which refutes at a shallow depth
+when the matrix is not copositive or its boundary zero is a dyadic point.
+A survey that stays undecided near the copositive boundary falls back on an
+exact zero of the intermediate matrix from the kernels of its principal
+submatrices (always a violator), and, when there is none, on bisection with
+a running ceiling.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from hashlib import sha256
 from itertools import combinations, permutations
 
 from .cones import ConeHRep, extreme_rays
-from .cop import (DEFAULT_DEPTH_LIMIT, Copositive, NotCopositive, Undecided,
-                  _survey_below, certify_copositive)
+from .cop import (DEFAULT_DEPTH_LIMIT, Copositive, Undecided, _survey_below,
+                  certify_copositive)
 from .core import (Rat, SymMat, dim_sym, inertia, mat_to_json, nullspace,
                    primitive, quad_form, rank_one, span_rank_of_vectors)
 from .errors import PreconditionError, WalkUndecidedError
@@ -41,7 +42,6 @@ RAY_CHECK_BUDGET = 50_000
 WALK_CELL_BUDGET = 200_000
 WALK_RADIUS_CAP = 600
 BISECT_LIMIT = 64
-LAMBDA_CAP = Fraction(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,6 @@ def kernel_zero(q: SymMat):
     return None
 
 
-def _violates(r: SymMat, q: SymMat, v) -> bool:
-    return quad_form(r, v) < 0 and quad_form(q, v) < 1
-
-
 def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
                        depth_limit: int = DEFAULT_DEPTH_LIMIT) -> WalkStep:
     """Walk one edge of the Ryshkov polyhedron; exact in every branch."""
@@ -127,15 +123,17 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
         return PolyhedronRay(r)
     if isinstance(verdict, Undecided):
         raise WalkUndecidedError(None)
+    # every violator v (integral, v >= 0, (P + lam R)[v] < 1) has R[v] < 0,
+    # so it stays one exactly for lam above its pullback (1 - P[v]) / R[v];
+    # bound is the least pullback seen, starting from the ray test's witness
+    w = primitive(verdict.witness)
+    bound = (1 - quad_form(p, w)) / quad_form(r, w)
     lam = Fraction(1)
     lam_lo = Fraction(0)
     ceiling = None
     halvings = 0
-    # every violator v has R[v] < 0, so (P + lam R)[v] < 1 exactly when lam
-    # exceeds its pullback (1 - P[v]) / R[v]; bound is the least pullback
-    bound = None
     while True:
-        if bound is not None and lam > bound:
+        if lam > bound:
             lam = bound
         q = p + r.scale(lam)
         tag, data = _survey_below(q, 1, depth_limit,
@@ -143,12 +141,9 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
         if tag == 'not':
             violators = [data]
         elif tag == 'undec':
+            # an exact zero of q is a violator: lam > 0 and P[v] >= 1
             v = kernel_zero(q)
-            if v is None or not _violates(r, q, v):
-                soft = certify_copositive(q, depth_limit, WALK_CELL_BUDGET)
-                v = (primitive(soft.witness)
-                     if isinstance(soft, NotCopositive) else None)
-            if v is None or not _violates(r, q, v):
+            if v is None:
                 halvings += 1
                 if halvings > BISECT_LIMIT:
                     raise WalkUndecidedError(lam)
@@ -174,8 +169,6 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
             ncert = PerfectCertificate(q, Fraction(1), tuple(sorted(data)),
                                        rank)
             return Neighbor(q, lam, new, ncert)
-        if lam > LAMBDA_CAP:
-            raise WalkUndecidedError(lam)
         lam_lo = lam
         lam = lam * 2 if ceiling is None else (lam + ceiling) / 2
 

@@ -209,6 +209,15 @@ def test_enumerate_below_parameter_validation():
         enumerate_below(q_an(2), 2, Fraction(-1, 2))
     with pytest.raises(PreconditionError):
         enumerate_below(q_an(2), 0, Fraction(1, 2))
+    # thresholds and bounds are exact: floats and bools are refused
+    for c, mu_lb in ((2.1, Fraction(1, 2)), (2, 0.5), (True, Fraction(1, 2)),
+                     (2, True)):
+        with pytest.raises(ValueError):
+            enumerate_below(q_an(2), c, mu_lb)
+    with pytest.raises(ValueError):
+        classical_below(q_an(2), 2.5)
+    with pytest.raises(ValueError):
+        _survey_below(q_an(2), 1.0)
 
 
 def _box_brute_force(b, c, mu_lb):

@@ -303,6 +303,8 @@ def test_json_reader_rejects_bad_shape():
     with pytest.raises(ValueError):
         mat_from_json({"n": 2, "entries": [["1", "2"]]})
     with pytest.raises(ValueError):
+        mat_from_json({"n": True, "entries": [[1]]})
+    with pytest.raises(ValueError):
         mat_loads("[1, 2, 3]")
     with pytest.raises(ValueError):
         mat_loads("not json at all")

@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import pytest
 
+from percop import walk
 from percop.core import SymMat, basis_e, identity, quad_form
 from percop.errors import PreconditionError, WalkUndecidedError
 from percop.families import fixtures, p_k, q_an
@@ -61,6 +62,13 @@ def test_contiguous_rejects_directions_outside_dual_cone():
     assert exc.value.reason == "direction-not-in-dual-cone"
 
 
+# vertex 30 of the Q_A3/2 graph, in the order where the step fails, and the
+# failing direction
+VERTEX_30 = SymMat.from_rows([[6, -15, 6], [-15, 38, -15], [6, -15, 6]])
+VERTEX_30_DIRECTION = SymMat.from_rows([[8, -32, 15], [-32, 120, -54],
+                                        [15, -54, 24]])
+
+
 @pytest.mark.xfail(strict=True, raises=WalkUndecidedError,
                    reason="the step gives up after BISECT_LIMIT halvings, "
                           "all 64 forced by WALK_RADIUS_CAP: the strict "
@@ -68,11 +76,26 @@ def test_contiguous_rejects_directions_outside_dual_cone():
                           "up as lam falls toward 3/32; by the paper this "
                           "direction ends at a neighbour or a ray")
 def test_vertex_30_direction_reaches_a_neighbour_or_ray():
-    # vertex 30 of the Q_A3/2 graph, in the order where the step fails
-    q = SymMat.from_rows([[6, -15, 6], [-15, 38, -15], [6, -15, 6]])
-    r = SymMat.from_rows([[8, -32, 15], [-32, 120, -54], [15, -54, 24]])
-    step = contiguous_perfect(_half_cert(q.scale(Fraction(1, 2))), r)
+    step = contiguous_perfect(_half_cert(VERTEX_30.scale(Fraction(1, 2))),
+                              VERTEX_30_DIRECTION)
     assert isinstance(step, (Neighbor, PolyhedronRay))
+
+
+def test_step_runs_one_copositivity_test_per_edge(monkeypatch):
+    # the ray test is the only certify_copositive call of a step, even on
+    # a direction that bisects until it gives up
+    tested = []
+    original = walk.certify_copositive
+
+    def counted(b, *args):
+        tested.append(b)
+        return original(b, *args)
+
+    monkeypatch.setattr(walk, "certify_copositive", counted)
+    cert = _half_cert(VERTEX_30.scale(Fraction(1, 2)))
+    with pytest.raises(WalkUndecidedError):
+        contiguous_perfect(cert, VERTEX_30_DIRECTION)
+    assert tested == [VERTEX_30_DIRECTION]
 
 
 def test_contiguous_rejects_zero_direction():
