@@ -414,8 +414,8 @@ def enumerate_below(b: SymMat, c, mu_lb,
     computed internally as a pruning aid; completeness rests only on the
     1-norm bound |v|_1 <= sqrt(c/mu_lb).
     """
-    c = _rational(c)
-    mu_lb = _rational(mu_lb)
+    c = _rational(c, "threshold c")
+    mu_lb = _rational(mu_lb, "mu_lb")
     if mu_lb <= 0:
         raise PreconditionError("mu-not-positive",
                                 "mu_lb must be positive, got %s" % mu_lb)
@@ -447,7 +447,7 @@ def _survey_below(b: SymMat, c,
     'undec' for searches whose 1-norm bound explodes (near-boundary
     matrices during a walk).
     """
-    c = _rational(c)
+    c = _rational(c, "threshold c")
     if c <= 0:
         raise PreconditionError("c-not-positive",
                                 "threshold c must be positive, got %s" % c)
@@ -507,7 +507,7 @@ def classical_below(q: SymMat, c,
         raise PreconditionError(
             "not-positive-definite",
             "classical enumeration needs a positive definite matrix")
-    c = _rational(c)
+    c = _rational(c, "threshold c")
     if c <= 0:
         return ()
     n = q.n

@@ -32,11 +32,17 @@ def dim_sym(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def _rational(x) -> Rat:
-    """x as a Fraction; bools and inexact numbers like floats are refused."""
+def _rational(x, name: str | None = None) -> Rat:
+    """x as a Fraction; bools and inexact numbers like floats are refused.
+
+    name is the argument x was passed as; without one x is a matrix entry.
+    """
     if isinstance(x, bool) or not isinstance(x, (Rational, str)):
-        raise ValueError("matrix entries must be integers, fractions or "
-                         "'p/q' strings, got %r" % (x,))
+        if name is None:
+            raise ValueError("matrix entries must be integers, fractions or "
+                             "'p/q' strings, got %r" % (x,))
+        raise ValueError("%s must be an integer, a fraction or a 'p/q' "
+                         "string, got %r" % (name, x))
     return Fraction(x)
 
 

@@ -6,19 +6,19 @@ certifies R copositive (then P + mu R stays a vertex-free face for every mu:
 a polyhedron ray) or finds the exact maximal lambda with
 minC(P + lambda R) = 1, which is the contiguous perfect matrix.
 
-The iteration doubles lambda while the minimum stays at 1.  Every violator
-v (an integral v >= 0 with (P + lambda R)[v] < 1) has R[v] < 0, so it stays
-a violator exactly for lambda above its pullback (1 - P[v]) / R[v]; the step
-keeps the least pullback seen as a running bound and clips lambda to it, so
-each violator is evaluated once.  The bound starts at the pullback of the
-witness with R[w] < 0 that refuted the ray test, so lambda never runs off to
-infinity.  A survey of P + lambda R stops at the first vertex of its simplex
-partition whose lattice point lies below 1, which refutes at a shallow depth
-when the matrix is not copositive or its boundary zero is a dyadic point.
-A survey that stays undecided near the copositive boundary falls back on an
-exact zero of the intermediate matrix from the kernels of its principal
-submatrices (always a violator), and, when there is none, on bisection with
-a running ceiling.
+The iteration keeps a bracket lam_lo <= lambda* <= bound and doubles lambda
+from lam_lo while the minimum stays at 1.  Every violator v (an integral
+v >= 0 with (P + lambda R)[v] < 1) has R[v] < 0, so it stays a violator
+exactly for lambda above its pullback (1 - P[v]) / R[v]; bound is the least
+pullback seen and lambda is clipped to it, so each violator is evaluated
+once.  The bound starts at the pullback of the witness with R[w] < 0 that
+refuted the ray test, so lambda never runs off to infinity.  A survey of
+P + lambda R stops at the first vertex of its simplex partition whose
+lattice point lies below 1, which refutes at a shallow depth when the
+matrix is not copositive or its boundary zero is a dyadic point.  A survey
+that does not certify P + lambda R copositive halves lambda toward lam_lo:
+an undecided one, or a vertex with (P + lambda R)[v] < 0 right after
+another; the first such vertex of a run only lowers the bound.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .core import (Rat, SymMat, dim_sym, inertia, mat_to_json, nullspace,
 from .errors import PreconditionError, WalkUndecidedError
 from .perfect import PerfectCertificate, is_perfect_copositive
 
-RAY_CHECK_BUDGET = 50_000
-WALK_CELL_BUDGET = 200_000
 WALK_RADIUS_CAP = 600
 BISECT_LIMIT = 64
 
@@ -118,45 +116,45 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
                 "direction-not-in-dual-cone",
                 "direction is negative on minimal vector %s" % (v,),
                 vector=list(v))
-    verdict = certify_copositive(r, depth_limit, RAY_CHECK_BUDGET)
+    verdict = certify_copositive(r, depth_limit)
     if isinstance(verdict, Copositive):
         return PolyhedronRay(r)
     if isinstance(verdict, Undecided):
         raise WalkUndecidedError(None)
     # every violator v (integral, v >= 0, (P + lam R)[v] < 1) has R[v] < 0,
     # so it stays one exactly for lam above its pullback (1 - P[v]) / R[v];
-    # bound is the least pullback seen, starting from the ray test's witness
+    # lam_lo <= lam* <= bound, the least pullback seen, starting from the
+    # ray test's witness
     w = primitive(verdict.witness)
     bound = (1 - quad_form(p, w)) / quad_form(r, w)
     lam = Fraction(1)
     lam_lo = Fraction(0)
-    ceiling = None
     halvings = 0
+    negative = False
     while True:
-        if lam > bound:
-            lam = bound
+        lam = min(lam, bound)
         q = p + r.scale(lam)
         tag, data = _survey_below(q, 1, depth_limit,
-                                  WALK_CELL_BUDGET, WALK_RADIUS_CAP)
-        if tag == 'not':
-            violators = [data]
-        elif tag == 'undec':
-            # an exact zero of q is a violator: lam > 0 and P[v] >= 1
-            v = kernel_zero(q)
-            if v is None:
-                halvings += 1
-                if halvings > BISECT_LIMIT:
-                    raise WalkUndecidedError(lam)
-                ceiling = lam if ceiling is None else min(ceiling, lam)
-                lam = (lam_lo + lam) / 2
-                continue
-            violators = [v]
-        else:
+                                  radius_cap=WALK_RADIUS_CAP)
+        if tag == 'ok':
             violators = [v for v in data if quad_form(q, v) < 1]
+        else:
+            violators = [data] if tag == 'not' else []
         if violators:
             # each pullback is below lam, so below the old bound too
             bound = min((1 - quad_form(p, v)) / quad_form(r, v)
                         for v in violators)
+        # a survey that does not certify q copositive halves toward lam_lo,
+        # except the first of a run of 'not' vertices with q[v] < 0
+        was_negative = negative
+        negative = tag == 'not' and quad_form(q, data) < 0
+        if tag == 'undec' or negative and was_negative:
+            halvings += 1
+            if halvings > BISECT_LIMIT:
+                raise WalkUndecidedError(lam)
+            lam = (lam_lo + lam) / 2
+            continue
+        if violators:
             continue
         # every surveyed vector attains exactly 1 here
         new = tuple(sorted(v for v in data if quad_form(r, v) < 0))
@@ -170,7 +168,7 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
                                        rank)
             return Neighbor(q, lam, new, ncert)
         lam_lo = lam
-        lam = lam * 2 if ceiling is None else (lam + ceiling) / 2
+        lam *= 2
 
 
 def neighbors_all(cert: PerfectCertificate,

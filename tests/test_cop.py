@@ -209,14 +209,17 @@ def test_enumerate_below_parameter_validation():
         enumerate_below(q_an(2), 2, Fraction(-1, 2))
     with pytest.raises(PreconditionError):
         enumerate_below(q_an(2), 0, Fraction(1, 2))
-    # thresholds and bounds are exact: floats and bools are refused
-    for c, mu_lb in ((2.1, Fraction(1, 2)), (2, 0.5), (True, Fraction(1, 2)),
-                     (2, True)):
-        with pytest.raises(ValueError):
+    # thresholds and bounds are exact: floats and bools are refused, and the
+    # message names the argument
+    for c, mu_lb, name in ((2.1, Fraction(1, 2), "threshold c"),
+                           (2, 0.5, "mu_lb"),
+                           (True, Fraction(1, 2), "threshold c"),
+                           (2, True, "mu_lb")):
+        with pytest.raises(ValueError, match="^%s must be" % name):
             enumerate_below(q_an(2), c, mu_lb)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^threshold c must be"):
         classical_below(q_an(2), 2.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^threshold c must be"):
         _survey_below(q_an(2), 1.0)
 
 

@@ -4,12 +4,13 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
 from percop import walk
 from percop.core import SymMat, basis_e, identity, quad_form
-from percop.errors import PreconditionError, WalkUndecidedError
+from percop.errors import PreconditionError
 from percop.families import fixtures, p_k, q_an
 from percop.perfect import is_perfect_copositive, normalized_to_min_one
 from percop.walk import (Neighbor, PolyhedronRay, contiguous_perfect,
@@ -62,40 +63,69 @@ def test_contiguous_rejects_directions_outside_dual_cone():
     assert exc.value.reason == "direction-not-in-dual-cone"
 
 
-# vertex 30 of the Q_A3/2 graph, in the order where the step fails, and the
-# failing direction
+# vertex 30 of the Q_A3/2 graph, a direction of its dual Voronoi cone whose
+# surveys come near the copositive boundary, and the neighbour it reaches;
+# vertex 27 of the same graph
 VERTEX_30 = SymMat.from_rows([[6, -15, 6], [-15, 38, -15], [6, -15, 6]])
 VERTEX_30_DIRECTION = SymMat.from_rows([[8, -32, 15], [-32, 120, -54],
                                         [15, -54, 24]])
+VERTEX_30_NEIGHBOUR = SymMat.from_rows(
+    [[Fraction(13, 3), Fraction(-77, 6), Fraction(11, 2)],
+     [Fraction(-77, 6), 39, Fraction(-33, 2)],
+     [Fraction(11, 2), Fraction(-33, 2), 7]])
+VERTEX_27 = SymMat.from_rows([[1, Fraction(-7, 2), 1],
+                              [Fraction(-7, 2), 13, Fraction(-7, 2)],
+                              [1, Fraction(-7, 2), 1]])
 
 
-@pytest.mark.xfail(strict=True, raises=WalkUndecidedError,
-                   reason="the step gives up after BISECT_LIMIT halvings, "
-                          "all 64 forced by WALK_RADIUS_CAP: the strict "
-                          "survey certifies, but at 1-norm radii from 8.6e8 "
-                          "up as lam falls toward 3/32; by the paper this "
-                          "direction ends at a neighbour or a ray")
 def test_vertex_30_direction_reaches_a_neighbour_or_ray():
+    # by the paper every extreme ray of the dual Voronoi cone ends at a
+    # neighbour or a polyhedron ray; this one ends at lam = 1/6
     step = contiguous_perfect(_half_cert(VERTEX_30.scale(Fraction(1, 2))),
                               VERTEX_30_DIRECTION)
-    assert isinstance(step, (Neighbor, PolyhedronRay))
+    assert isinstance(step, Neighbor)
+    assert step.lam == Fraction(1, 6)
+    assert step.new_vectors == ((0, 3, 7),)
+    assert step.matrix == VERTEX_30_NEIGHBOUR
 
 
 def test_step_runs_one_copositivity_test_per_edge(monkeypatch):
-    # the ray test is the only certify_copositive call of a step, even on
-    # a direction that bisects until it gives up
+    # the ray test is the only certify_copositive call of a step, and the
+    # halving rule reaches vertex 30's neighbour in a few surveys
     tested = []
+    surveys = []
     original = walk.certify_copositive
+    original_survey = walk._survey_below
 
     def counted(b, *args):
         tested.append(b)
         return original(b, *args)
 
+    def counted_survey(*args, **kwargs):
+        surveys.append(args[0])
+        return original_survey(*args, **kwargs)
+
     monkeypatch.setattr(walk, "certify_copositive", counted)
+    monkeypatch.setattr(walk, "_survey_below", counted_survey)
     cert = _half_cert(VERTEX_30.scale(Fraction(1, 2)))
-    with pytest.raises(WalkUndecidedError):
-        contiguous_perfect(cert, VERTEX_30_DIRECTION)
+    step = contiguous_perfect(cert, VERTEX_30_DIRECTION)
+    assert isinstance(step, Neighbor)
+    assert step.matrix == VERTEX_30_NEIGHBOUR
     assert tested == [VERTEX_30_DIRECTION]
+    assert len(surveys) <= 8
+
+
+@pytest.mark.parametrize("vertex, neighbours",
+                         [(VERTEX_27, 26), (VERTEX_30, 40)],
+                         ids=["v27", "v30"])
+def test_every_order_of_a_vertex_is_decided(vertex, neighbours):
+    # each coordinate order walks every direction to a neighbour or a ray
+    for perm in permutations(range(3)):
+        q = walk._permuted(vertex, perm)
+        kinds = [type(s).__name__ for s in neighbors_all(_half_cert(q))]
+        assert kinds.count("UndecidedDirection") == 0
+        assert kinds.count("Neighbor") == neighbours
+        assert kinds.count("PolyhedronRay") == 1
 
 
 def test_contiguous_rejects_zero_direction():
