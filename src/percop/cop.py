@@ -19,12 +19,12 @@ coordinates depth first.  Lower bounds for the trailing principal submatrices
 prune subtrees; the innermost coordinate is resolved by an exact integer
 interval instead of a scan, and the one before it is limited to the exact
 interval on which the last two coordinates together can stay below c
-(when their 2x2 block is positive definite).  The copositive minimum runs
-the same search with the threshold as a falling cap: it starts at the least
-diagonal entry, and each vector found below it lowers the cap to that
-vector's value, drops the vectors kept so far and shrinks the radius
-sqrt(cap/mu) with it (the shrinking-radius enumeration of Schnorr and
-Euchner, Math. Programming 1994).
+(when their 2x2 block is positive definite).  The copositive minimum and
+the walk's survey run the same search below a falling cap, which starts at
+the least diagonal entry and at c respectively: each vector found below the
+cap lowers it to that vector's value, drops the vectors kept so far and
+shrinks the radius sqrt(cap/mu) with it (the shrinking-radius enumeration
+of Schnorr and Euchner, Math. Programming 1994).
 """
 
 from __future__ import annotations
@@ -431,21 +431,28 @@ def enumerate_below(b: SymMat, c, mu_lb,
     return tuple(sorted(found))
 
 
+def _least_below(bi, cap, mu_scaled, depth_limit, cell_budget):
+    """(least value <= cap, its vectors sorted); mu_scaled bounds bi > 0."""
+    mus = _suffix_bounds(bi, mu_scaled, depth_limit, cell_budget)
+    best, found = _enumerate_scaled(bi, cap.numerator, cap.denominator,
+                                    _radius(cap, mu_scaled), mus, least=True)
+    return best, tuple(sorted(found))
+
+
 def _survey_below(b: SymMat, c,
                   depth_limit: int = DEFAULT_DEPTH_LIMIT,
-                  cell_budget: int = DEFAULT_CELL_BUDGET,
-                  radius_cap: int | None = None):
+                  cell_budget: int = DEFAULT_CELL_BUDGET):
     """Test-then-enumerate in one call, the survey step of the walk.
 
-    Returns ('not', v), ('ok', vectors) or ('undec', None) for a threshold
-    c > 0.  'not' gives a primitive integral v >= 0 with B[v] < c: the first
-    vertex of the strict test's simplex partition whose lowest-terms integer
-    point lies below c (so a matrix that is not copositive, or whose
-    boundary zero is a dyadic point, is refuted at a shallow depth).  'ok'
-    gives every nonzero integral v >= 0 with B[v] <= c, sorted, once the
-    strict test has certified B.  With a radius cap the caller opts into
-    'undec' for searches whose 1-norm bound explodes (near-boundary
-    matrices during a walk).
+    Returns ('not', vectors), ('ok', vectors) or ('undec', None) for a
+    threshold c > 0.  'not' gives primitive integral v >= 0 with B[v] < c:
+    the first vertex of the strict test's simplex partition whose
+    lowest-terms integer point lies below c (so a matrix that is not
+    copositive, or whose boundary zero is a dyadic point, is refuted at a
+    shallow depth), or, once the strict test has certified B, every vector
+    of the least value below c.  'ok' gives every nonzero integral v >= 0
+    with B[v] <= c, sorted; all of them attain c.  'undec' means the strict
+    test ran out of depth or cells.
     """
     c = _rational(c, "threshold c")
     if c <= 0:
@@ -456,18 +463,13 @@ def _survey_below(b: SymMat, c,
     tag, data = _bnb(bi, depth_limit, True, cell_budget,
                      (c_scaled.numerator, c_scaled.denominator))
     if tag == 'not':
-        return ('not', primitive(data[0]))
+        return ('not', (primitive(data[0]),))
     if tag == 'undec':
         return ('undec', None)
     num, e = data
-    mu_scaled = Fraction(num, 1 << e)
-    radius = _radius(c_scaled, mu_scaled)
-    if radius_cap is not None and radius > radius_cap:
-        return ('undec', None)
-    mus = _suffix_bounds(bi, mu_scaled, depth_limit, cell_budget)
-    found = _enumerate_scaled(bi, c_scaled.numerator, c_scaled.denominator,
-                              radius, mus)
-    return ('ok', tuple(sorted(found)))
+    best, found = _least_below(bi, c_scaled, Fraction(num, 1 << e),
+                               depth_limit, cell_budget)
+    return ('not' if best < c_scaled else 'ok', found)
 
 
 @lru_cache(maxsize=4096)
@@ -487,13 +489,10 @@ def copositive_min(b: SymMat,
     if isinstance(verdict, Undecided):
         raise UndecidedError(verdict.depth)
     bi, den = _int_form(b)
-    cap = min(bi[i][i] for i in range(b.n))
-    mu_scaled = verdict.mu_lb * den
-    mus = _suffix_bounds(bi, mu_scaled, depth_limit, DEFAULT_CELL_BUDGET)
-    best, found = _enumerate_scaled(bi, cap, 1,
-                                    _radius(Fraction(cap), mu_scaled), mus,
-                                    least=True)
-    return MinResult(best / den, tuple(sorted(found)))
+    cap = Fraction(min(bi[i][i] for i in range(b.n)))
+    best, found = _least_below(bi, cap, verdict.mu_lb * den, depth_limit,
+                               DEFAULT_CELL_BUDGET)
+    return MinResult(best / den, found)
 
 
 def classical_below(q: SymMat, c,

@@ -58,6 +58,9 @@ class SymMat:
     coords: tuple[Rat, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n <= 0:  # bool is refused too
+            raise ValueError("n must be a positive integer, got %r"
+                             % (self.n,))
         if len(self.coords) != dim_sym(self.n):
             raise ValueError(
                 "expected %d coordinates for n=%d, got %d"

@@ -15,8 +15,8 @@ from fractions import Fraction
 from .cones import ConeVRep, pairing_coeffs
 from .cop import (DEFAULT_DEPTH_LIMIT, MinResult, NotCopositive,
                   copositive_min)
-from .core import (Rat, SymMat, _fraction_to_str, dim_sym, inertia, inner,
-                   int_rref, mat_to_json, primitive, rank_one,
+from .core import (Rat, SymMat, _fraction_to_str, _rational, dim_sym, inertia,
+                   inner, int_rref, mat_to_json, primitive, rank_one,
                    span_rank_of_vectors)
 from .errors import NotCopositiveError, PreconditionError
 
@@ -85,6 +85,7 @@ def recover_from_minvecs(vectors, value: Rat):
     raises PreconditionError when the system is inconsistent, since no matrix
     can then attain that value on all the vectors.
     """
+    value = _rational(value, "value")
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         raise PreconditionError("empty-vector-set",
@@ -94,7 +95,7 @@ def recover_from_minvecs(vectors, value: Rat):
         raise PreconditionError("dimension-mismatch",
                                 "minimal vectors of mixed dimension")
     D = dim_sym(n)
-    rows = [primitive(pairing_coeffs(rank_one(v)) + (Fraction(value),))
+    rows = [primitive(pairing_coeffs(rank_one(v)) + (value,))
             for v in vectors]
     m, pivots = int_rref(rows, D + 1)
     if pivots and pivots[-1] == D:

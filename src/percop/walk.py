@@ -15,10 +15,11 @@ once.  The bound starts at the pullback of the witness with R[w] < 0 that
 refuted the ray test, so lambda never runs off to infinity.  A survey of
 P + lambda R stops at the first vertex of its simplex partition whose
 lattice point lies below 1, which refutes at a shallow depth when the
-matrix is not copositive or its boundary zero is a dyadic point.  A survey
-that does not certify P + lambda R copositive halves lambda toward lam_lo:
-an undecided one, or a vertex with (P + lambda R)[v] < 0 right after
-another; the first such vertex of a run only lowers the bound.
+matrix is not copositive or its boundary zero is a dyadic point, and else
+returns the vectors of the least value below 1, if any.  A survey that does
+not certify P + lambda R copositive halves lambda toward lam_lo: an
+undecided one, or a vertex with (P + lambda R)[v] < 0 right after another;
+the first such vertex of a run only lowers the bound.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .core import (Rat, SymMat, dim_sym, inertia, mat_to_json, nullspace,
 from .errors import PreconditionError, WalkUndecidedError
 from .perfect import PerfectCertificate, is_perfect_copositive
 
-WALK_RADIUS_CAP = 600
 BISECT_LIMIT = 64
 
 
@@ -134,27 +134,22 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
     while True:
         lam = min(lam, bound)
         q = p + r.scale(lam)
-        tag, data = _survey_below(q, 1, depth_limit,
-                                  radius_cap=WALK_RADIUS_CAP)
-        if tag == 'ok':
-            violators = [v for v in data if quad_form(q, v) < 1]
-        else:
-            violators = [data] if tag == 'not' else []
-        if violators:
+        tag, data = _survey_below(q, 1, depth_limit)
+        if tag == 'not':
             # each pullback is below lam, so below the old bound too
             bound = min((1 - quad_form(p, v)) / quad_form(r, v)
-                        for v in violators)
+                        for v in data)
         # a survey that does not certify q copositive halves toward lam_lo,
         # except the first of a run of 'not' vertices with q[v] < 0
         was_negative = negative
-        negative = tag == 'not' and quad_form(q, data) < 0
+        negative = tag == 'not' and quad_form(q, data[0]) < 0
         if tag == 'undec' or negative and was_negative:
             halvings += 1
             if halvings > BISECT_LIMIT:
                 raise WalkUndecidedError(lam)
             lam = (lam_lo + lam) / 2
             continue
-        if violators:
+        if tag == 'not':
             continue
         # every surveyed vector attains exactly 1 here
         new = tuple(sorted(v for v in data if quad_form(r, v) < 0))

@@ -9,7 +9,7 @@ worked examples.
 import random
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -256,7 +256,7 @@ def test_enumerate_below_against_box():
 
 
 def _is_below(b, c, v):
-    return (all(isinstance(x, int) and x >= 0 for x in v) and any(v)
+    return (all(isinstance(x, int) and x >= 0 for x in v) and gcd(*v) == 1
             and quad_form(b, v) < c)
 
 
@@ -265,9 +265,9 @@ def test_survey_refutes_at_a_dyadic_zero():
     # partition is a lattice point with value 0
     half = Fraction(1, 2)
     b = SymMat.from_rows([[1, half, -1], [half, 1, -half], [-1, -half, 1]])
-    tag, v = _survey_below(b, 1)
+    tag, data = _survey_below(b, 1)
     assert tag == 'not'
-    assert _is_below(b, 1, v)
+    assert len(data) == 1 and _is_below(b, 1, data[0])
 
 
 def test_survey_undecided_at_a_non_dyadic_zero():
@@ -307,12 +307,13 @@ def test_survey_against_box(case):
     b, c = case
     tag, data = _survey_below(b, c, 24, 20_000)
     if tag == 'not':
-        assert _is_below(b, c, data)
+        assert data and all(_is_below(b, c, v) for v in data)
     elif tag == 'ok':
         verdict = check_cop(b, 24, 20_000)
         assert isinstance(verdict, StrictlyCopositive)
         assume(c / verdict.mu_lb <= 150)
         assert data == _box_brute_force(b, c, verdict.mu_lb)
+        assert all(quad_form(b, v) == c for v in data)
 
 
 def _least_part(found, b):

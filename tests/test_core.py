@@ -246,6 +246,14 @@ def test_symmat_refuses_inexact_entries(bad):
         q_an(2).scale(bad)
 
 
+@pytest.mark.parametrize("n", [0, -1, True, 2.0, "2"])
+def test_symmat_refuses_a_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="^n must be a positive integer"):
+        SymMat(n, ())
+    with pytest.raises(ValueError, match="^n must be a positive integer"):
+        SymMat.from_rows([])
+
+
 def test_symmat_accepts_rational_entries():
     m = SymMat.from_rows([[1, "1/3"], [Fraction(1, 3), sympy.Integer(2)]])
     assert m.coords == (1, 2, Fraction(1, 3))

@@ -83,6 +83,15 @@ def test_recover_underdetermined():
     assert out.dimension == 1
 
 
+def test_recover_refuses_an_inexact_value():
+    # 0.1 is not 1/10 in binary floating point; bools are not values either
+    for value in (0.1, True):
+        with pytest.raises(ValueError, match="^value must be"):
+            recover_from_minvecs(((1, 0), (0, 1), (1, 1)), value)
+    got = recover_from_minvecs(((1, 0), (0, 1), (1, 1)), "1/10")
+    assert got == SymMat.from_rows([[2, -1], [-1, 2]]).scale(Fraction(1, 20))
+
+
 def test_recover_inconsistent():
     with pytest.raises(PreconditionError) as exc:
         recover_from_minvecs(((0, 1), (1, 0), (1, 1), (1, 2)), 2)

@@ -9,6 +9,7 @@ from itertools import permutations
 import pytest
 
 from percop import walk
+from percop.cop import _survey_below
 from percop.core import SymMat, basis_e, identity, quad_form
 from percop.errors import PreconditionError
 from percop.families import fixtures, p_k, q_an
@@ -76,6 +77,8 @@ VERTEX_30_NEIGHBOUR = SymMat.from_rows(
 VERTEX_27 = SymMat.from_rows([[1, Fraction(-7, 2), 1],
                               [Fraction(-7, 2), 13, Fraction(-7, 2)],
                               [1, Fraction(-7, 2), 1]])
+VERTEX_27_DIRECTION = SymMat.from_rows([[0, -4, 2], [-4, 36, -15],
+                                        [2, -15, 6]])
 
 
 def test_vertex_30_direction_reaches_a_neighbour_or_ray():
@@ -113,6 +116,37 @@ def test_step_runs_one_copositivity_test_per_edge(monkeypatch):
     assert step.matrix == VERTEX_30_NEIGHBOUR
     assert tested == [VERTEX_30_DIRECTION]
     assert len(surveys) <= 8
+
+
+def test_survey_near_the_boundary_returns_the_least_violator():
+    # P + lam R on vertex 27's edge is strictly copositive with least value
+    # 49/4975 at (35, 6, 0); its simplex bound puts the 1-norm radius below 1
+    # in the thousands, with 122 lattice points below 1, and the falling cap
+    # keeps only the least of them
+    q = VERTEX_27 + VERTEX_27_DIRECTION.scale(Fraction(2889, 4975))
+    assert _survey_below(q, 1) == ('not', ((35, 6, 0),))
+    assert quad_form(q, (35, 6, 0)) == Fraction(49, 4975)
+
+
+def test_vertex_27_edge_needs_no_undecided_survey(monkeypatch):
+    # every survey of this edge is decided, down to the near-boundary one
+    tags = []
+    original_survey = walk._survey_below
+
+    def tagged_survey(*args, **kwargs):
+        result = original_survey(*args, **kwargs)
+        tags.append(result[0])
+        return result
+
+    monkeypatch.setattr(walk, "_survey_below", tagged_survey)
+    step = contiguous_perfect(_half_cert(VERTEX_27), VERTEX_27_DIRECTION)
+    assert isinstance(step, Neighbor)
+    assert step.lam == Fraction(1, 2)
+    assert step.new_vectors == ((4, 1, 1), (5, 1, 0), (6, 1, 0))
+    assert step.matrix == SymMat.from_rows(
+        [[1, Fraction(-11, 2), 2], [Fraction(-11, 2), 31, -11],
+         [2, -11, 4]])
+    assert tags and 'undec' not in tags
 
 
 @pytest.mark.parametrize("vertex, neighbours",
