@@ -2,16 +2,18 @@
 
 The test partitions the standard simplex.  A cell with vertex set {v_i} is
 certified once min_{i<=j} v_i^T B v_j is positive: that minimum bounds B from
-below on the whole cell.  A cell whose vertex has negative form value refutes
-copositivity.  Otherwise the longest edge is bisected.  A cell at depth d
-stores its vertices as integer tuples scaled by 2^d, and its pair values
-v_i^T B v_j and squared edge lengths as flat integer lists scaled by 4^d, so
-every comparison within a cell is an integer comparison and a split only
-shifts what the children inherit.  A vertex leaves the partition (as a
-witness, or to break a tie between equally long edges) in lowest terms: an
-integer tuple plus a binary exponent.  The survey of the walk, which asks
-for a lattice point below a threshold c, tests each vertex as it is created
-and stops at the first whose lowest-terms lattice point lies below c.
+below on the whole cell.  Otherwise the longest edge is bisected.  Each
+vertex is tested once, as it is created (the unit vectors, then each
+midpoint), and the first whose lowest-terms lattice point lies below a
+threshold refutes: the threshold is 0 for the copositivity test, so a
+negative vertex refutes copositivity, and c for the survey of the walk,
+which asks for a lattice point below c.  A cell at depth d stores its
+vertices as integer tuples scaled by 2^d, and its pair values v_i^T B v_j
+and squared edge lengths as flat integer lists scaled by 4^d, so every
+comparison within a cell is an integer comparison and a split only shifts
+what the children inherit.  A vertex leaves the partition (as a witness, or
+to break a tie between equally long edges) in lowest terms: an integer tuple
+plus a binary exponent.
 
 Minimal-vector enumeration turns a simplex lower bound mu into the search
 radius |v|_1 <= sqrt(c/mu) via B[v] = |v|_1^2 * B[v/|v|_1] and walks the
@@ -23,8 +25,9 @@ interval on which the last two coordinates together can stay below c
 the walk's survey run the same search below a falling cap, which starts at
 the least diagonal entry and at c respectively: each vector found below the
 cap lowers it to that vector's value, drops the vectors kept so far and
-shrinks the radius sqrt(cap/mu) with it (the shrinking-radius enumeration
-of Schnorr and Euchner, Math. Programming 1994).
+shrinks the radius sqrt(cap/mu) with it, and the search goes on from there,
+each level stopping at the shrunken radius (the shrinking-radius
+enumeration of Schnorr and Euchner, Math. Programming 1994).
 """
 
 from __future__ import annotations
@@ -105,28 +108,26 @@ def _reduced(vec, depth):
     return (vec, depth - k)
 
 
-def _bnb(bi, depth_limit, strict, cell_budget, below=None):
+def _bnb(bi, depth_limit, strict, cell_budget, below=(0, 1)):
     """Partition loop on an integer matrix.
 
     Returns ('strict'|'cop', (num, exp)) with the bound num/2^exp, or
     ('not', vertex) with the vertex as (integer tuple, exponent) in lowest
-    terms, or ('undec', depth).  With below = (num, den), a positive
-    threshold t = num/den, every vertex is tested as it is created (the unit
+    terms, or ('undec', depth).  below = (num, den) is a threshold
+    t = num/den >= 0, and every vertex is tested as it is created (the unit
     vectors, then each midpoint): if its lowest-terms integer point u has
-    u^T bi u < t, that vertex comes back as 'not'.  A negative vertex is
-    one of these, so 'not' then means a partition vertex below t.
+    u^T bi u < t, that vertex comes back as 'not'.  The default t = 0
+    refutes copositivity at a negative vertex; the walk's survey passes a
+    positive t, and 'not' then means a partition vertex below t.
     """
     n = len(bi)
     root_verts = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    if below is not None:
-        bnum, bden = below
-        for i in range(n):
-            if bi[i][i] * bden < bnum:
-                return ('not', (root_verts[i], 0))
+    bnum, bden = below
+    for i in range(n):
+        if bi[i][i] * bden < bnum:
+            return ('not', (root_verts[i], 0))
     if n == 1:
         v = bi[0][0]
-        if v < 0:
-            return ('not', ((1,), 0))
         if v > 0 or not strict:
             return ('strict' if strict else 'cop', (v, 0))
         return ('undec', 0)
@@ -162,10 +163,6 @@ def _bnb(bi, depth_limit, strict, cell_budget, below=None):
             if mu is None or low << mu[1] < mu[0] << 2 * depth:
                 mu = (low, 2 * depth)
             continue
-        if low < 0:
-            for i in range(n):
-                if pairs[diag[i]] < 0:
-                    return ('not', _reduced(verts[i], depth))
         if depth >= depth_limit:
             undecided = True
             continue
@@ -186,9 +183,10 @@ def _bnb(bi, depth_limit, strict, cell_budget, below=None):
         mid = tuple([a + b for a, b in zip(verts[si], verts[sj])])
         bmid = [sum(map(mul, row, mid)) for row in bi]
         mid_self = sum(map(mul, mid, bmid))
-        if below is not None:
-            # mid/2^(depth+1) = u/2^(depth+1-k) with u = mid >> k integral,
-            # and u^T bi u = mid_self >> 2k
+        # mid/2^(depth+1) = u/2^(depth+1-k) with u = mid >> k integral,
+        # and u^T bi u = mid_self/4^k, which is below t only if
+        # mid_self/4^(depth+1) is (t >= 0)
+        if mid_self * bden < bnum << 2 * depth + 2:
             bits = reduce(or_, mid)
             k = (bits & -bits).bit_length() - 1
             if (mid_self >> 2 * k) * bden < bnum:
@@ -250,16 +248,16 @@ def test_copositivity(b: SymMat,
     return _decide(b, depth_limit, cell_budget, True)
 
 
-def certify_copositive(b: SymMat,
-                       depth_limit: int = DEFAULT_DEPTH_LIMIT,
-                       cell_budget: int = DEFAULT_CELL_BUDGET):
+def certify_copositive(b: SymMat, depth_limit: int = DEFAULT_DEPTH_LIMIT):
     """Non-strict variant: cells certify at bound >= 0.
 
     Decides membership in the closed copositive cone for matrices that are
     not on its boundary, and for boundary matrices whose zero set is spanned
     by cell vertices (the E_ij directions certify at the root, for example).
+    Other boundary matrices come back Undecided once the depth limit or
+    DEFAULT_CELL_BUDGET cells are reached.
     """
-    return _decide(b, depth_limit, cell_budget, False)
+    return _decide(b, depth_limit, DEFAULT_CELL_BUDGET, False)
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +290,25 @@ def _enumerate_scaled(bi, cnum, cden, radius, mus, least=False):
     is kept: each vector found below the cap lowers the cap to its value,
     drops the vectors kept so far and shrinks the radius to
     sqrt(cap/mus[0]) (mus[0] must be the simplex bound the radius came
-    from).  Returns (least value, its vectors) in that mode; the vectors
-    found in search order otherwise.
+    from), and the search goes on from that vector within the new radius.
+    Returns (least value, its vectors) in that mode; the vectors found in
+    search order otherwise.
     """
     n = len(bi)
     last = n - 1
     ann = bi[last][last]
     out = []
     v = [0] * n
-    # the current radius, read only after the cap has fallen
-    rad = [radius]
+    rad = radius
     # the next-to-last coordinate only takes values for which the innermost
     # interval is not empty, when the trailing 2x2 block is positive definite
     pen = last - 1
     pen_det = ann * bi[pen][pen] - bi[pen][last] ** 2 if n > 1 else 0
 
-    def descend(k, budget, val, lin, nonzero):
-        # val = bi[prefix]; lin[j-k] = (bi . prefix)_j for j >= k.  Returns
-        # True when the cap fell in this subtree (least mode only).
-        nonlocal cnum, cden
+    def descend(k, used, val, lin, nonzero):
+        # val = bi[prefix], used = |prefix|_1; lin[j-k] = (bi . prefix)_j
+        # for j >= k
+        nonlocal cnum, cden, rad
         if k == last:
             lead = lin[0]
             # cden*(ann*t^2 + 2*lead*t + val) <= cnum, completed square:
@@ -320,7 +318,7 @@ def _enumerate_scaled(bi, cnum, cden, radius, mus, least=False):
                 return
             s = isqrt(dq // cden) + 1
             lo = max(0 if nonzero else 1, (-lead - s) // ann - 1)
-            hi = min(budget, (-lead + s) // ann + 1)
+            hi = min(rad - used, (-lead + s) // ann + 1)
             for t in range(lo, hi + 1):
                 u = ann * t + lead
                 if cden * u * u <= dq:
@@ -328,15 +326,17 @@ def _enumerate_scaled(bi, cnum, cden, radius, mus, least=False):
                     if least:
                         w = val + t * (2 * lead + ann * t)
                         if cden * w < cnum:
-                            # lower the cap to w and rescan this interval
+                            # lower the cap to w; every vector at or below
+                            # it lies within the new radius, so the rest of
+                            # this interval only needs the new dq
                             cnum, cden = w, 1
                             out.clear()
-                            rad[0] = _radius(Fraction(w), mus[0])
-                            descend(k, budget, val, lin, nonzero)
-                            return True
+                            rad = _radius(Fraction(w), mus[0])
+                            dq = lead * lead - ann * (val - w)
                     out.append(tuple(v))
             v[last] = 0
             return
+        budget = rad - used
         a, b = mus[k].numerator, mus[k].denominator
         lmin = min(lin)
 
@@ -370,30 +370,18 @@ def _enumerate_scaled(bi, cnum, cden, radius, mus, least=False):
             s = isqrt(dq // cden) + 1
             lo = max(0, (-q - s) // pen_det - 1)
             hi = min(budget, (-q + s) // pen_det + 1)
+        # the radius can shrink inside the loop when the cap falls
         for t in range(lo, hi + 1):
-            v[k] = t
-            if descend(k + 1, budget - t,
-                       val + 2 * t * lin[0] + diag * t * t,
-                       [lin[j - k] + t * row[j] for j in range(k + 1, n)],
-                       nonzero or t > 0):
-                break
-        else:
-            v[k] = 0
-            return
-        # the cap fell below v[k] = t: go on within the shrunken radius
-        used = sum(v[:k])
-        for t in range(t + 1, hi + 1):
-            if used + t > rad[0]:
+            if used + t > rad:
                 break
             v[k] = t
-            descend(k + 1, rad[0] - used - t,
+            descend(k + 1, used + t,
                     val + 2 * t * lin[0] + diag * t * t,
                     [lin[j - k] + t * row[j] for j in range(k + 1, n)],
-                    True)
+                    nonzero or t > 0)
         v[k] = 0
-        return True
 
-    descend(0, radius, 0, [0] * n, False)
+    descend(0, 0, 0, [0] * n, False)
     if least:
         return Fraction(cnum, cden), out
     return out
@@ -405,14 +393,14 @@ def _radius(c_scaled: Fraction, mu_scaled: Fraction) -> int:
 
 
 def enumerate_below(b: SymMat, c, mu_lb,
-                    depth_limit: int = DEFAULT_DEPTH_LIMIT,
-                    cell_budget: int = DEFAULT_CELL_BUDGET) -> tuple:
+                    depth_limit: int = DEFAULT_DEPTH_LIMIT) -> tuple:
     """Exactly { v in Z^n_{>=0} nonzero : B[v] <= c }, sorted.
 
     mu_lb must be a valid positive lower bound for B on the standard simplex
     (take it from a StrictlyCopositive verdict).  Submatrix bounds are
-    computed internally as a pruning aid; completeness rests only on the
-    1-norm bound |v|_1 <= sqrt(c/mu_lb).
+    computed internally as a pruning aid, each within depth_limit and
+    DEFAULT_CELL_BUDGET cells; completeness rests only on the 1-norm bound
+    |v|_1 <= sqrt(c/mu_lb).
     """
     c = _rational(c, "threshold c")
     mu_lb = _rational(mu_lb, "mu_lb")
@@ -425,7 +413,7 @@ def enumerate_below(b: SymMat, c, mu_lb,
     bi, den = _int_form(b)
     mu_scaled = mu_lb * den
     c_scaled = c * den
-    mus = _suffix_bounds(bi, mu_scaled, depth_limit, cell_budget)
+    mus = _suffix_bounds(bi, mu_scaled, depth_limit, DEFAULT_CELL_BUDGET)
     found = _enumerate_scaled(bi, c_scaled.numerator, c_scaled.denominator,
                               _radius(c_scaled, mu_scaled), mus)
     return tuple(sorted(found))

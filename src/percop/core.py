@@ -43,7 +43,11 @@ def _rational(x, name: str | None = None) -> Rat:
                              "'p/q' strings, got %r" % (x,))
         raise ValueError("%s must be an integer, a fraction or a 'p/q' "
                          "string, got %r" % (name, x))
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("%s has a zero denominator: %r"
+                         % (name or "matrix entry", x)) from None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from percop.cli import main
 from percop.core import SymMat, mat_dumps
 from percop.families import fixtures, q_an
@@ -230,6 +232,54 @@ def test_output_is_byte_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.endswith("\n")
+
+
+# (command, matrix, exit code, stdout in compact JSON): a witness, a
+# witness at a midpoint of the simplex partition and the neighbourhood of
+# Q_A3/2.  stdout must be exactly the indent-2, key-sorted rendering of the
+# compact form, newline-terminated.
+_PINNED_STDOUT = [
+    ("copmin", SymMat.from_rows([[2, -3], [-3, 2]]), 2,
+     '{"error":"not-copositive","witness":["1/2","1/2"]}'),
+    ("perfect", SymMat.from_rows([[7, 0, -4], [0, 1, -2], [-4, -2, 4]]), 0,
+     '{"perfect":false,"reason":"not-strictly-copositive",'
+     '"witness":["1/4","1/2","1/4"]}'),
+    ("neighbors", q_an(3).scale(Fraction(1, 2)), 0,
+     '{"steps":['
+     '{"kind":"neighbor","lambda":"1/2","matrix":{"entries":'
+     '[["1","-1/2","-1/2"],["-1/2","1","0"],["-1/2","0","1"]],"n":3},'
+     '"new_vectors":[[1,0,1]]},'
+     '{"direction":{"entries":'
+     '[["0","0","1"],["0","0","0"],["1","0","0"]],"n":3},"kind":"ray"},'
+     '{"kind":"neighbor","lambda":"1/2","matrix":{"entries":'
+     '[["1","0","-1/2"],["0","1","-1/2"],["-1/2","-1/2","1"]],"n":3},'
+     '"new_vectors":[[1,0,1]]},'
+     '{"kind":"neighbor","lambda":"1/2","matrix":{"entries":'
+     '[["1","-1/2","0"],["-1/2","1","-1"],["0","-1","2"]],"n":3},'
+     '"new_vectors":[[1,2,1]]},'
+     '{"kind":"neighbor","lambda":"1","matrix":{"entries":'
+     '[["1","-3/2","1"],["-3/2","3","-3/2"],["1","-3/2","1"]],"n":3},'
+     '"new_vectors":[[0,1,2],[2,1,0]]},'
+     '{"kind":"neighbor","lambda":"1/2","matrix":{"entries":'
+     '[["2","-1","0"],["-1","1","-1/2"],["0","-1/2","1"]],"n":3},'
+     '"new_vectors":[[1,2,1]]}]}'),
+]
+
+
+@pytest.mark.parametrize("command,m,code,compact", _PINNED_STDOUT)
+def test_pinned_stdout_bytes(tmp_path, capsys, command, m, code, compact):
+    path = _write(tmp_path, "m.json", m)
+    assert main([command, path]) == code
+    expected = json.dumps(json.loads(compact), indent=2, sort_keys=True)
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_zero_denominator_entry_exits_1(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 1, "entries": [["1/0"]]}))
+    code, body = _run(capsys, ["copmin", str(path)])
+    assert code == 1
+    assert body["error"] == "malformed-input"
 
 
 def test_help_exits_0(capsys):

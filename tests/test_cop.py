@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from percop.cop import (Copositive, NotCopositive, StrictlyCopositive,
                         Undecided, _bnb, _enumerate_scaled, _int_form,
-                        _radius, _survey_below, certify_copositive,
-                        classical_below, classical_min, copositive_min,
-                        enumerate_below, minresult_to_json)
+                        _radius, _suffix_bounds, _survey_below,
+                        certify_copositive, classical_below, classical_min,
+                        copositive_min, enumerate_below, minresult_to_json)
 from percop.cop import test_copositivity as check_cop
 from percop.core import SymMat, basis_e, identity, quad_form
 from percop.errors import (NotCopositiveError, PreconditionError,
@@ -110,6 +110,15 @@ _BNB_PINS = [
     (q_an(5), 1024, True, 2_000_000, 'strict', Fraction(1, 64)),
     (_WALK_REFUTED, 64, True, 200_000, 'not', ((89, 83, 84), 8)),
     (_WALK_REFUTED, 1024, True, 200_000, 'not', ((89, 83, 84), 8)),
+    # refuted at a midpoint, strict and non-strict
+    ([[7, 0, -4], [0, 1, -2], [-4, -2, 4]], 64, True, 1_000_000,
+     'not', ((1, 2, 1), 2)),
+    ([[1, -4, 6], [-4, 8, 2], [6, 2, 3]], 8, False, 1_000_000,
+     'not', ((3, 1, 0), 2)),
+    # the midpoint (1,1,0)/2, of value -1/4, is tested as the second cell
+    # is split, so it refutes within a budget of two cells
+    ([[0, -3, 3], [-3, 5, 9], [3, 9, 6]], 8, True, 2,
+     'not', ((1, 1, 0), 1)),
 ]
 
 
@@ -357,11 +366,14 @@ def _cap_falls(b, c, radius):
 
 # (integer matrix, cap numerator, cap denominator): caps above the least
 # diagonal entry, so that the search order meets values below the cap
-# before it meets the least one
+# before it meets the least one.  With [[6, -6], [-6, 9]] the cap falls to
+# 9 at (0, 1), then twice inside the innermost interval of v[0] = 1: to 6
+# at (1, 0) and to 3 at (1, 1).
 _FALLING_CAPS = [
     ([[4, -3], [-3, 5]], 10, 1),
     ([[4, -3], [-3, 5]], 21, 2),
     ([[9, -4, 1], [-4, 6, -5], [1, -5, 7]], 12, 1),
+    ([[6, -6], [-6, 9]], 18, 1),
 ]
 
 
@@ -381,6 +393,38 @@ def test_least_enumeration_keeps_only_the_final_attainers(rows, cnum, cden):
     # the default mode keeps every vector below the cap
     assert tuple(sorted(_enumerate_scaled(rows, cnum, cden, radius,
                                           [mu] * b.n))) == below
+
+
+@st.composite
+def _capped_cases(draw):
+    """A strictly copositive integer matrix, its simplex bound and a cap
+    above its least diagonal entry."""
+    n = draw(st.integers(1, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 6) if i != j
+                                           else st.integers(1, 9))
+    verdict = check_cop(SymMat.from_rows(rows), 24, 20_000)
+    assume(isinstance(verdict, StrictlyCopositive))
+    least = min(rows[i][i] for i in range(n))
+    cap = least + Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 3)))
+    assume(cap / verdict.mu_lb <= 400)
+    return rows, verdict.mu_lb, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(_capped_cases())
+def test_least_mode_keeps_the_least_part_of_the_default_mode(case):
+    rows, mu, cap = case
+    mus = _suffix_bounds(rows, mu, 24, 20_000)
+    radius = _radius(cap, mu)
+    every = _enumerate_scaled(rows, cap.numerator, cap.denominator, radius,
+                              mus)
+    best, found = _enumerate_scaled(rows, cap.numerator, cap.denominator,
+                                    radius, mus, least=True)
+    assert (best, tuple(sorted(found))) == \
+        _least_part(every, SymMat.from_rows(rows))
 
 
 def test_copositive_min_of_e_in_reversed_order():

@@ -20,6 +20,7 @@ from percop.core import (SymMat, basis_e, coord_index, dim_sym, identity,
                          mat_loads, mat_to_json, nullspace, primitive,
                          quad_form, rank_one, row_rank, span_rank,
                          span_rank_of_vectors)
+from percop.cop import enumerate_below
 from percop.families import fixtures, q_an, p_k
 
 
@@ -252,6 +253,17 @@ def test_symmat_refuses_a_size_that_is_not_a_positive_integer(n):
         SymMat(n, ())
     with pytest.raises(ValueError, match="^n must be a positive integer"):
         SymMat.from_rows([])
+
+
+def test_zero_denominator_is_refused_with_its_name():
+    with pytest.raises(ValueError, match="^matrix entry has a zero denom"):
+        SymMat.from_rows([["1/0"]])
+    with pytest.raises(ValueError, match="^matrix entry has a zero denom"):
+        mat_from_json({"n": 1, "entries": [["1/0"]]})
+    with pytest.raises(ValueError, match="^threshold c has a zero denom"):
+        enumerate_below(q_an(2), "1/0", Fraction(1, 2))
+    with pytest.raises(ValueError, match="^mu_lb has a zero denom"):
+        enumerate_below(q_an(2), 2, "0/0")
 
 
 def test_symmat_accepts_rational_entries():
