@@ -121,8 +121,11 @@ def _cmd_walk(args) -> int:
     m = _read_matrix(args.matrix)
     graph = traverse(m, args.budget, _depth_limit(args))
     if args.dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(graph_to_dot(graph))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as handle:
+                handle.write(graph_to_dot(graph))
+        except OSError as exc:
+            raise ValueError("cannot write %s: %s" % (args.dot, exc))
     _emit(graph_to_json(graph))
     return 0
 

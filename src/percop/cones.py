@@ -6,11 +6,11 @@ inner(A, .) >= 0; in coordinates that is the dot product with the vector
 (a_11 .. a_nn, 2a_12, 2a_13, ...), so the pairing stays the trace inner
 product throughout.
 
-extreme_rays is an incremental double description: the cone starts as the
-full coordinate space (lineality basis), each inequality either consumes one
-lineality dimension or splits the current rays, and adjacent positive and
-negative rays are combined.  Adjacency is the exact algebraic test: the
-common tight normals must have rank D - lineality - 2.
+extreme_rays is an incremental double description on primitive integer
+rays: the independent normals give the lineality (their nullspace) and a
+simplicial start cone, each further inequality splits the current rays, and
+adjacent positive and negative rays are combined.  Adjacency is the exact
+algebraic test: the common tight normals must have rank D - lineality - 2.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Rat, SymMat, dim_sym, inner, int_rref, primitive
+from .core import (Rat, SymMat, dim_sym, inner, int_rref, nullspace,
+                   primitive)
 from .errors import PreconditionError
 
 
@@ -69,33 +70,31 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
     """Extreme rays and lineality of an H-represented cone, deterministic.
 
     Insertion order: normals sorted by increasing number of zero coordinates,
-    ties lexicographic.  Output rays sorted by coordinate vector.
+    ties lexicographic.  The normals independent of those before them form
+    the start cone; the rest follow in that order.  Output rays sorted by
+    coordinate vector.
     """
     D = dim_sym(cone.n)
     coeffs = sorted(
         (primitive(pairing_coeffs(a)) for a in cone.normals),
         key=lambda c: (sum(1 for x in c if x == 0), c))
-    lin = [tuple(Fraction(int(j == i)) for j in range(D)) for i in range(D)]
-    rays = []  # (vector, bitmask of tight inequalities)
-    for idx, a in enumerate(coeffs):
-        lvals = [sum(x * y for x, y in zip(a, l)) for l in lin]
-        j = next((k for k, v in enumerate(lvals) if v != 0), None)
-        if j is not None:
-            # project the lineality along this inequality; the consumed basis
-            # vector reappears as a ray tight for everything before idx
-            b, bv = lin[j], lvals[j]
-            lin = [tuple(x - (v / bv) * y for x, y in zip(l, b))
-                   for k, (l, v) in enumerate(zip(lin, lvals)) if k != j]
-            projected = []
-            for r, mask in rays:
-                rv = sum(x * y for x, y in zip(a, r))
-                projected.append(
-                    (tuple(x - (rv / bv) * y for x, y in zip(r, b)),
-                     mask | (1 << idx)))
-            newray = b if bv > 0 else tuple(-x for x in b)
-            projected.append((newray, (1 << idx) - 1))
-            rays = projected
-            continue
+    basis = int_rref(list(zip(*coeffs)), len(coeffs))[1]
+    B = [list(coeffs[b]) for b in basis]
+    # start ray i solves B x = e_i and is zero on the free columns: column
+    # D + i of the rref of [B | I], over the common pivot value
+    m, pivots = int_rref([row + [int(j == i) for j in range(len(B))]
+                          for i, row in enumerate(B)], D + len(B))
+    full = sum(1 << b for b in basis)
+    rays = []  # (primitive vector, bitmask of tight processed normals)
+    for i, b in enumerate(basis):
+        vec = [0] * D
+        for row, c in zip(m, pivots):
+            vec[c] = row[D + i]
+        rays.append((primitive(vec if m[0][pivots[0]] > 0
+                               else [-x for x in vec]), full & ~(1 << b)))
+    need = len(B) - 2
+    for idx in sorted(set(range(len(coeffs))) - set(basis)):
+        a = coeffs[idx]
         pos, zer, neg = [], [], []
         for r, mask in rays:
             v = sum(x * y for x, y in zip(a, r))
@@ -105,32 +104,23 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
                 neg.append((r, mask, v))
             else:
                 zer.append((r, mask | (1 << idx)))
-        need = D - len(lin) - 2
         combos = []
         for p, pmask, pv in pos:
-            for m, mmask, mv in neg:
-                common = pmask & mmask
+            for q, qmask, qv in neg:
+                common = pmask & qmask
                 if common.bit_count() < need:
                     continue
-                tight = [coeffs[t] for t in range(idx) if (common >> t) & 1]
+                tight = [c for t, c in enumerate(coeffs) if (common >> t) & 1]
                 if len(int_rref(tight, D)[1]) != need:
                     continue
                 combos.append(
-                    (tuple(pv * x - mv * y for x, y in zip(m, p)),
+                    (primitive([pv * y - qv * x for x, y in zip(p, q)]),
                      common | (1 << idx)))
-        rays = [(r, m) for r, m, _ in pos] + zer + combos
-    seen = set()
-    out = []
-    for r, _ in rays:
-        p = primitive(r)
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    ray_mats = [SymMat(cone.n, tuple(Fraction(x) for x in p))
-                for p in sorted(out)]
-    lin_mats = [SymMat(cone.n, tuple(Fraction(x) for x in p))
-                for p in sorted(_sign_fixed(primitive(l)) for l in lin)]
-    return ConeVRep(tuple(ray_mats), tuple(lin_mats))
+        rays = [(r, mask) for r, mask, _ in pos] + zer + combos
+    rays = sorted(r for r, _ in rays)
+    lineality = sorted(_sign_fixed(l) for l in nullspace(B, D))
+    return ConeVRep(tuple(SymMat(cone.n, r) for r in rays),
+                    tuple(SymMat(cone.n, l) for l in lineality))
 
 
 # ---------------------------------------------------------------------------

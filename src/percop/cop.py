@@ -225,6 +225,8 @@ def _witness_vector(vert) -> tuple[Rat, ...]:
 def _decide(b: SymMat, depth_limit: int, cell_budget: int, strict: bool):
     if depth_limit < 0:
         raise PreconditionError("bad-depth-limit", "depth_limit must be >= 0")
+    if cell_budget < 0:
+        raise PreconditionError("bad-cell-budget", "cell_budget must be >= 0")
     bi, den = _int_form(b)
     tag, data = _bnb(bi, depth_limit, strict, cell_budget)
     if tag == 'not':

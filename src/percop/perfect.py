@@ -94,6 +94,9 @@ def recover_from_minvecs(vectors, value: Rat):
     if any(len(v) != n for v in vectors):
         raise PreconditionError("dimension-mismatch",
                                 "minimal vectors of mixed dimension")
+    if n == 0:
+        raise PreconditionError("empty-vector",
+                                "minimal vectors must have length >= 1")
     D = dim_sym(n)
     rows = [primitive(pairing_coeffs(rank_one(v)) + (value,))
             for v in vectors]

@@ -87,6 +87,15 @@ def test_walk_with_dot_export(tmp_path, capsys):
     assert "ray" in text
 
 
+def test_walk_dot_export_to_a_directory_exits_1(tmp_path, capsys):
+    path = _write(tmp_path, "half.json", q_an(2).scale(Fraction(1, 2)))
+    code, body = _run(capsys, ["walk", path, "--budget", "1",
+                               "--dot", str(tmp_path)])
+    assert code == 1
+    assert body["error"] == "malformed-input"
+    assert "cannot write" in body["detail"]
+
+
 def test_walk_budget_flag_is_required(tmp_path, capsys):
     path = _write(tmp_path, "half.json", q_an(2).scale(Fraction(1, 2)))
     assert main(["walk", path]) == 1

@@ -2,16 +2,17 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from percop.cones import (ConeHRep, FarkasCertificate, NonnegCombination,
-                          extreme_rays, lp_nonneg_solve, pairing_coeffs)
-from percop.core import (SymMat, basis_e, identity, inner, quad_form,
-                         rank_one)
+                          _sign_fixed, extreme_rays, lp_nonneg_solve,
+                          pairing_coeffs)
+from percop.core import (SymMat, basis_e, dim_sym, identity, inner, int_rref,
+                         nullspace, primitive, quad_form, rank_one)
 from percop.errors import PreconditionError
-from percop.families import p_k, q_an
+from percop.families import fixtures, p_k, q_an
 from percop.perfect import is_perfect_copositive, voronoi_cone
 
 
@@ -97,6 +98,63 @@ def test_cross_pattern_rays_survive_box_truncation():
             for i in range(n):
                 for j in range(i + 1, n):
                     assert basis_e(n, i, j).coords in rays
+
+
+def _oracle(cone):
+    """Extreme rays and lineality of a cone, by brute force over tight sets.
+
+    With A the normals and F the free columns of their RREF, every ray zero
+    on F that is extreme is tight on D - |F| - 1 independent normals; such a
+    subset together with the unit rows of F has a one-dimensional nullspace,
+    and the ray is the orientation of it on which every normal is >= 0.
+    """
+    D = dim_sym(cone.n)
+    coeffs = [primitive(pairing_coeffs(a)) for a in cone.normals]
+    pivots = int_rref(coeffs, D)[1]
+    units = [[int(j == f) for j in range(D)] for f in range(D)
+             if f not in pivots]
+    rays = set()
+    for subset in combinations(coeffs, max(len(pivots) - 1, 0)):
+        basis = nullspace(list(subset) + units, D)
+        if len(basis) != 1:
+            continue
+        for sign in (1, -1):
+            ray = tuple(sign * x for x in basis[0])
+            if all(sum(c * x for c, x in zip(a, ray)) >= 0 for a in coeffs):
+                rays.add(ray)
+    return sorted(rays), sorted(_sign_fixed(l) for l in nullspace(coeffs, D))
+
+
+def _assert_matches_oracle(cone):
+    vrep = extreme_rays(cone)
+    rays, lineality = _oracle(cone)
+    assert [r.coords for r in vrep.rays] == rays
+    assert [l.coords for l in vrep.lineality] == lineality
+    return vrep
+
+
+def test_extreme_rays_match_the_oracle_on_random_cones():
+    rng = random.Random(17)
+    with_lineality = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        normals = tuple(SymMat(n, tuple(rng.randint(-2, 2)
+                                        for _ in range(dim_sym(n))))
+                        for _ in range(rng.randint(0, 7)))
+        with_lineality += bool(_assert_matches_oracle(
+            ConeHRep(n, normals)).lineality)
+    assert with_lineality > 100
+
+
+def test_extreme_rays_match_the_oracle_on_the_dual_voronoi_cone_of_e():
+    cone = ConeHRep(5, tuple(rank_one(v) for v in fixtures().minc_E))
+    assert len(_assert_matches_oracle(cone).rays) == 188
+
+
+def test_extreme_rays_match_the_oracle_on_the_4x4_box_cone():
+    vecs = [v for v in product(range(2), repeat=4) if any(v)]
+    cone = ConeHRep(4, tuple(rank_one(v) for v in vecs))
+    assert len(_assert_matches_oracle(cone).rays) == 40
 
 
 def test_walk_directions_of_p_family_live_in_dual_cone():

@@ -85,6 +85,14 @@ def test_depth_limit_zero_boundary():
     assert verdict.depth == 0
 
 
+def test_negative_cell_budget_is_refused():
+    with pytest.raises(PreconditionError) as exc:
+        check_cop(identity(2), 64, -1)
+    assert exc.value.reason == "bad-cell-budget"
+    # budget 0 stays legal: the root cell is not split
+    assert isinstance(check_cop(basis_e(3, 0, 2), 64, 0), Undecided)
+
+
 # (integer matrix or SymMat, depth_limit, strict, cell_budget, tag, answer):
 # the bound as a Fraction, the witness as a reduced (vector, exponent) pair,
 # or the undecided depth.  The root simplex has all edges equally long, so

@@ -92,6 +92,12 @@ def test_recover_refuses_an_inexact_value():
     assert got == SymMat.from_rows([[2, -1], [-1, 2]]).scale(Fraction(1, 20))
 
 
+def test_recover_refuses_zero_length_vectors():
+    with pytest.raises(PreconditionError) as exc:
+        recover_from_minvecs([()], 1)
+    assert exc.value.reason == "empty-vector"
+
+
 def test_recover_inconsistent():
     with pytest.raises(PreconditionError) as exc:
         recover_from_minvecs(((0, 1), (1, 0), (1, 1), (1, 2)), 2)
