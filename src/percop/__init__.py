@@ -3,14 +3,14 @@
 from .cones import (ConeHRep, ConeVRep, FarkasCertificate, NonnegCombination,
                     extreme_rays, lp_nonneg_solve)
 from .cop import (Copositive, MinResult, NotCopositive, StrictlyCopositive,
-                  Undecided, certify_copositive, classical_min,
-                  copositive_min, enumerate_below, test_copositivity)
+                  certify_copositive, classical_min, copositive_min,
+                  enumerate_below, test_copositivity)
 from .core import (Inertia, SymMat, dim_sym, inertia, inner, quad_form,
                    rank_one, span_rank, span_rank_of_vectors)
 from .certify import (CpVerdict, Factorization, Inconclusive, NotCp,
                       cp_certify)
 from .errors import (NotCopositiveError, PercopError, PreconditionError,
-                     UndecidedError, WalkUndecidedError)
+                     WalkUndecidedError)
 from .families import (EmbeddingResult, LiftWitness, embed_classical,
                        fixture_matrix, fixtures, lift,
                        minkowski_reduced_check, p_k, q_an)
@@ -30,15 +30,15 @@ __all__ = [
     "Imperfect", "Inconclusive", "Inertia", "LiftWitness", "MinResult",
     "Neighbor", "NonnegCombination", "NotCopositive", "NotCopositiveError",
     "NotCp", "PercopError", "PerfectCertificate", "PolyhedronRay",
-    "PreconditionError", "StrictlyCopositive", "SymMat", "Undecided",
-    "UndecidedDirection", "UndecidedError", "Underdetermined", "WalkGraph",
-    "WalkUndecidedError", "certify_copositive", "classical_min",
-    "classify_component", "contiguous_perfect", "copositive_min",
-    "cp_certify", "dim_sym", "embed_classical", "enumerate_below",
-    "extreme_rays", "fixture_matrix", "fixtures", "graph_to_dot",
-    "graph_to_json", "inertia", "inner", "is_perfect_copositive", "lift",
-    "lp_nonneg_solve", "minkowski_reduced_check", "neighbors_all",
-    "normalized_to_min_one", "p_k", "perm_canonical", "q_an", "quad_form",
-    "rank_one", "recover_from_minvecs", "span_rank", "span_rank_of_vectors",
+    "PreconditionError", "StrictlyCopositive", "SymMat", "UndecidedDirection",
+    "Underdetermined", "WalkGraph", "WalkUndecidedError",
+    "certify_copositive", "classical_min", "classify_component",
+    "contiguous_perfect", "copositive_min", "cp_certify", "dim_sym",
+    "embed_classical", "enumerate_below", "extreme_rays", "fixture_matrix",
+    "fixtures", "graph_to_dot", "graph_to_json", "inertia", "inner",
+    "is_perfect_copositive", "lift", "lp_nonneg_solve",
+    "minkowski_reduced_check", "neighbors_all", "normalized_to_min_one",
+    "p_k", "perm_canonical", "q_an", "quad_form", "rank_one",
+    "recover_from_minvecs", "span_rank", "span_rank_of_vectors",
     "test_copositivity", "traverse", "voronoi_cone",
 ]

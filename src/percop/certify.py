@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import ConeHRep, NonnegCombination, extreme_rays, lp_nonneg_solve
-from .cop import DEFAULT_DEPTH_LIMIT
 from .core import Rat, SymMat, inner, mat_to_json, rank_one, _fraction_to_str
 from .errors import PreconditionError, WalkUndecidedError
 from .families import q_an
@@ -50,8 +49,8 @@ class Inconclusive:
 CpVerdict = Factorization | NotCp | Inconclusive
 
 
-def cp_certify(q: SymMat, step_budget: int = DEFAULT_STEP_BUDGET,
-               depth_limit: int = DEFAULT_DEPTH_LIMIT) -> CpVerdict:
+def cp_certify(q: SymMat,
+               step_budget: int = DEFAULT_STEP_BUDGET) -> CpVerdict:
     """Decide complete positivity where the walk terminates.
 
     Directions whose walk ends in a polyhedron ray or stays undecided are
@@ -66,7 +65,7 @@ def cp_certify(q: SymMat, step_budget: int = DEFAULT_STEP_BUDGET,
     if step_budget < 0:
         raise PreconditionError("bad-budget", "step budget must be >= 0")
     start = q_an(q.n).scale(Fraction(1, 2))
-    cert = is_perfect_copositive(start, depth_limit)
+    cert = is_perfect_copositive(start)
     if not cert:
         raise RuntimeError("start matrix failed its perfectness check")
     steps = 0
@@ -91,7 +90,7 @@ def cp_certify(q: SymMat, step_budget: int = DEFAULT_STEP_BUDGET,
             if steps >= step_budget:
                 return Inconclusive(steps, "budget-exhausted")
             try:
-                step = contiguous_perfect(cert, direction, depth_limit)
+                step = contiguous_perfect(cert, direction)
             except WalkUndecidedError:
                 continue
             if isinstance(step, PolyhedronRay):

@@ -29,19 +29,15 @@ class NotCopositiveError(PercopError):
 
 
 class UndecidedError(PercopError):
-    """Copositivity could not be decided within the depth limit."""
+    """No longer raised: copositivity is always decided exactly.
 
-    def __init__(self, depth):
-        super().__init__("copositivity undecided at depth %d" % depth)
-        self.depth = depth
+    Kept because perfbench/run.py catches it by name.
+    """
 
 
 class WalkUndecidedError(PercopError):
     """A Ryshkov-polyhedron walk step could not be resolved exactly."""
 
     def __init__(self, lam):
-        if lam is None:
-            super().__init__("walk undecided on the ray direction")
-        else:
-            super().__init__("walk undecided at lambda = %s" % lam)
+        super().__init__("walk undecided at lambda = %s" % lam)
         self.lam = lam

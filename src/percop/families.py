@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cop import (DEFAULT_DEPTH_LIMIT, classical_below, classical_min,
-                  copositive_min)
+from .cop import classical_below, classical_min, copositive_min
 from .core import (SymMat, dim_sym, inertia, int_rref, quad_form,
                    span_rank_of_vectors)
 from .errors import PreconditionError
@@ -52,8 +51,7 @@ class LiftWitness:
                            tuple(int(x) for x in self.witness_vector))
 
 
-def lift(q: SymMat, proof: LiftWitness,
-         depth_limit: int = DEFAULT_DEPTH_LIMIT) -> SymMat:
+def lift(q: SymMat, proof: LiftWitness) -> SymMat:
     """Duplicate the last row and column; perfect when the witness holds.
 
     The witness is validated against copositive_min(q): it must be a minimal
@@ -75,7 +73,7 @@ def lift(q: SymMat, proof: LiftWitness,
             "witness-last-entry",
             "lifting needs a minimal vector with last entry >= 2, got %d"
             % w[-1])
-    res = copositive_min(q, depth_limit)
+    res = copositive_min(q)
     if w not in res.vectors:
         raise PreconditionError("witness-not-minimal",
                                 "%s does not attain the copositive minimum"
@@ -101,8 +99,7 @@ class EmbeddingResult:
     transformed: SymMat
 
 
-def minkowski_reduced_check(q: SymMat,
-                            depth_limit: int = DEFAULT_DEPTH_LIMIT) -> bool:
+def minkowski_reduced_check(q: SymMat) -> bool:
     """Q[v] >= q_ii whenever gcd(v_i, ..., v_n) = 1, checked exhaustively.
 
     Only vectors with Q[v] <= max_i q_ii can violate the inequality, so the
@@ -114,7 +111,7 @@ def minkowski_reduced_check(q: SymMat,
                                 "definite matrices")
     n = q.n
     cap = max(q.entry(i, i) for i in range(n))
-    for v in classical_below(q, cap, depth_limit):
+    for v in classical_below(q, cap):
         val = quad_form(q, v)
         for i in range(n):
             g = 0
@@ -133,8 +130,7 @@ def _invert_unitriangular(l: list[list[int]]) -> list[list[int]]:
     return [row[n:] for row in m]
 
 
-def embed_classical(q: SymMat,
-                    depth_limit: int = DEFAULT_DEPTH_LIMIT) -> EmbeddingResult:
+def embed_classical(q: SymMat) -> EmbeddingResult:
     """Unimodular transform making a classically perfect matrix copositive-perfect.
 
     q_bound is instance-specific: 1 + the largest minimal-vector entry in
@@ -145,11 +141,11 @@ def embed_classical(q: SymMat,
     if not inertia(q).is_positive_definite():
         raise PreconditionError("not-positive-definite",
                                 "embedding needs a positive definite matrix")
-    if not minkowski_reduced_check(q, depth_limit):
+    if not minkowski_reduced_check(q):
         raise PreconditionError("not-minkowski-reduced",
                                 "embedding requires a Minkowski reduced "
                                 "matrix; reduce first")
-    _, minvecs = classical_min(q, depth_limit)
+    _, minvecs = classical_min(q)
     n = q.n
     if span_rank_of_vectors(minvecs) != dim_sym(n):
         raise PreconditionError("not-classically-perfect",
@@ -167,7 +163,7 @@ def embed_classical(q: SymMat,
         if not (all(x >= 0 for x in w) or all(x <= 0 for x in w)):
             raise RuntimeError("transformed minimal vector %s leaves the "
                                "one-signed orthant" % (w,))
-    if not is_perfect_copositive(transformed, depth_limit):
+    if not is_perfect_copositive(transformed):
         raise RuntimeError("transformed matrix failed the perfectness check")
     return EmbeddingResult(tuple(tuple(r) for r in u),
                            tuple(tuple(r) for r in l), qb, transformed)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import ConeVRep, pairing_coeffs
-from .cop import (DEFAULT_DEPTH_LIMIT, MinResult, NotCopositive,
-                  copositive_min)
+from .cop import Copositive, MinResult, NotCopositive, copositive_min
 from .core import (Rat, SymMat, _fraction_to_str, _rational, dim_sym, inertia,
                    inner, int_rref, mat_to_json, primitive, rank_one,
                    span_rank_of_vectors)
@@ -33,7 +32,8 @@ class PerfectCertificate:
 class Imperfect:
     """Refusal from is_perfect_copositive; falsy so the result can be gated.
 
-    reason is "not-strictly-copositive" (verdict carries the witness) or
+    reason is "not-strictly-copositive" (verdict is NotCopositive with its
+    witness, or Copositive(0) for a matrix with a zero on the simplex) or
     "span-deficient" (min_result and span_rank describe how far short).
     """
 
@@ -46,17 +46,17 @@ class Imperfect:
         return False
 
 
-def is_perfect_copositive(q: SymMat,
-                          depth_limit: int = DEFAULT_DEPTH_LIMIT):
-    """PerfectCertificate, or a falsy Imperfect refusal.
-
-    Undecided copositivity propagates as UndecidedError.
-    """
+def is_perfect_copositive(q: SymMat):
+    """PerfectCertificate, or a falsy Imperfect refusal."""
     try:
-        res = copositive_min(q, depth_limit)
+        res = copositive_min(q)
     except NotCopositiveError as exc:
         return Imperfect("not-strictly-copositive",
                          verdict=NotCopositive(exc.witness))
+    except PreconditionError:
+        # copositive_min's only refusal: a zero on the simplex
+        return Imperfect("not-strictly-copositive",
+                         verdict=Copositive(Fraction(0)))
     rank = span_rank_of_vectors(res.vectors)
     if rank == dim_sym(q.n):
         return PerfectCertificate(q, res.min_value, res.vectors, rank)

@@ -11,15 +11,15 @@ from lam_lo while the minimum stays at 1.  Every violator v (an integral
 v >= 0 with (P + lambda R)[v] < 1) has R[v] < 0, so it stays a violator
 exactly for lambda above its pullback (1 - P[v]) / R[v]; bound is the least
 pullback seen and lambda is clipped to it, so each violator is evaluated
-once.  The bound starts at the pullback of the witness with R[w] < 0 that
-refuted the ray test, so lambda never runs off to infinity.  A survey of
-P + lambda R stops at the first vertex of its simplex partition whose
-lattice point lies below 1, which refutes at a shallow depth when the
-matrix is not copositive or its boundary zero is a dyadic point, and else
-returns the vectors of the least value below 1, if any.  A survey that does
-not certify P + lambda R copositive halves lambda toward lam_lo: an
-undecided one, or a vertex with (P + lambda R)[v] < 0 right after another;
-the first such vertex of a run only lowers the bound.
+once.  The bound starts at the pullback of the minimiser w with R[w] < 0
+that refuted the ray test, so lambda never runs off to infinity.  A survey
+of P + lambda R returns the vectors of the least value below 1, if any, or,
+when P + lambda R is not strictly copositive, the lattice point of its
+least-support minimiser on the simplex.  Such a point has
+(P + lambda R)[v] <= 0 and halves lambda toward lam_lo instead of lowering
+the bound: its pullback lies just below the boundary of the copositive
+cone, where lambda takes huge denominators and the next survey's radius
+sqrt(1/mu) runs into the hundreds of millions.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .cones import ConeHRep, extreme_rays
-from .cop import (DEFAULT_DEPTH_LIMIT, Copositive, Undecided, _survey_below,
+from .cop import (Copositive, _bnb, _int_form, _survey_below,
                   certify_copositive)
-from .core import (Rat, SymMat, dim_sym, inertia, mat_to_json, nullspace,
-                   primitive, quad_form, rank_one, span_rank_of_vectors)
+from .core import (Rat, SymMat, dim_sym, inertia, mat_to_json, primitive,
+                   quad_form, rank_one, span_rank_of_vectors)
 from .errors import PreconditionError, WalkUndecidedError
 from .perfect import PerfectCertificate, is_perfect_copositive
 
@@ -64,38 +64,24 @@ class UndecidedDirection:
     """Partial result when a single direction could not be resolved."""
 
     direction: SymMat
-    lam: Rat | None
+    lam: Rat
 
 
 WalkStep = Neighbor | PolyhedronRay | UndecidedDirection
 
 
 def kernel_zero(q: SymMat):
-    """A nonzero integer v >= 0 with Q[v] = 0, or None.
+    """A primitive integer v >= 0 with Q[v] = 0 for copositive Q, or None.
 
-    Searches the kernels of all principal submatrices for a one-signed
-    vector; for a rational copositive Q whose simplex zero set contains a
-    rational point, the support of that point gives such a submatrix.
+    None unless the minimum of Q over the standard simplex is 0; v is then
+    the lattice point of the least-support minimiser of cop._bnb.  Nothing
+    in percop calls it; perfbench's tracer times it by this name.
     """
-    n = q.n
-    for size in range(1, n + 1):
-        for sub in combinations(range(n), size):
-            rows = [primitive([q.entry(i, j) for j in sub]) for i in sub]
-            # each basis vector is positive at its free column, so a
-            # one-signed one is nonnegative
-            for vec in nullspace(rows, size):
-                if min(vec) < 0:
-                    continue
-                v = [0] * n
-                for idx, x in zip(sub, vec):
-                    v[idx] = x
-                if quad_form(q, v) == 0:
-                    return tuple(v)
-    return None
+    mu, x, _ = _bnb(_int_form(q)[0])
+    return primitive(x) if mu == 0 else None
 
 
-def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
-                       depth_limit: int = DEFAULT_DEPTH_LIMIT) -> WalkStep:
+def contiguous_perfect(cert: PerfectCertificate, r: SymMat) -> WalkStep:
     """Walk one edge of the Ryshkov polyhedron; exact in every branch."""
     p = cert.matrix
     if cert.min_value != 1:
@@ -116,11 +102,9 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
                 "direction-not-in-dual-cone",
                 "direction is negative on minimal vector %s" % (v,),
                 vector=list(v))
-    verdict = certify_copositive(r, depth_limit)
+    verdict = certify_copositive(r)
     if isinstance(verdict, Copositive):
         return PolyhedronRay(r)
-    if isinstance(verdict, Undecided):
-        raise WalkUndecidedError(None)
     # every violator v (integral, v >= 0, (P + lam R)[v] < 1) has R[v] < 0,
     # so it stays one exactly for lam above its pullback (1 - P[v]) / R[v];
     # lam_lo <= lam* <= bound, the least pullback seen, starting from the
@@ -130,26 +114,21 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
     lam = Fraction(1)
     lam_lo = Fraction(0)
     halvings = 0
-    negative = False
     while True:
         lam = min(lam, bound)
         q = p + r.scale(lam)
-        tag, data = _survey_below(q, 1, depth_limit)
-        if tag == 'not':
-            # each pullback is below lam, so below the old bound too
-            bound = min((1 - quad_form(p, v)) / quad_form(r, v)
-                        for v in data)
-        # a survey that does not certify q copositive halves toward lam_lo,
-        # except the first of a run of 'not' vertices with q[v] < 0
-        was_negative = negative
-        negative = tag == 'not' and quad_form(q, data[0]) < 0
-        if tag == 'undec' or negative and was_negative:
+        tag, data = _survey_below(q, 1)
+        if tag == 'not' and quad_form(q, data[0]) <= 0:
+            # q is not strictly copositive: halve toward lam_lo
             halvings += 1
             if halvings > BISECT_LIMIT:
                 raise WalkUndecidedError(lam)
             lam = (lam_lo + lam) / 2
             continue
         if tag == 'not':
+            # each pullback is below lam, so below the old bound too
+            bound = min((1 - quad_form(p, v)) / quad_form(r, v)
+                        for v in data)
             continue
         # every surveyed vector attains exactly 1 here
         new = tuple(sorted(v for v in data if quad_form(r, v) < 0))
@@ -166,9 +145,7 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat,
         lam *= 2
 
 
-def neighbors_all(cert: PerfectCertificate,
-                  depth_limit: int = DEFAULT_DEPTH_LIMIT
-                  ) -> tuple[WalkStep, ...]:
+def neighbors_all(cert: PerfectCertificate) -> tuple[WalkStep, ...]:
     """One WalkStep per extreme ray of the dual Voronoi cone, sorted order.
 
     Directions that fail to resolve come back as UndecidedDirection entries
@@ -187,7 +164,7 @@ def neighbors_all(cert: PerfectCertificate,
     steps = []
     for direction in vrep.rays:
         try:
-            steps.append(contiguous_perfect(cert, direction, depth_limit))
+            steps.append(contiguous_perfect(cert, direction))
         except WalkUndecidedError as exc:
             steps.append(UndecidedDirection(direction, exc.lam))
     return tuple(steps)
@@ -254,8 +231,7 @@ class WalkGraph:
     nodes: dict
 
 
-def traverse(start: SymMat, node_budget: int,
-             depth_limit: int = DEFAULT_DEPTH_LIMIT) -> WalkGraph:
+def traverse(start: SymMat, node_budget: int) -> WalkGraph:
     """BFS over permutation-canonical vertices, expanding up to node_budget.
 
     Ray directions count on the node itself (self-loops in the export), and
@@ -264,7 +240,7 @@ def traverse(start: SymMat, node_budget: int,
     """
     if node_budget < 0:
         raise PreconditionError("bad-budget", "node budget must be >= 0")
-    res = is_perfect_copositive(start, depth_limit)
+    res = is_perfect_copositive(start)
     if not res:
         raise PreconditionError("start-not-perfect",
                                 "traversal must start at a perfect matrix",
@@ -286,7 +262,7 @@ def traverse(start: SymMat, node_budget: int,
         edges = []
         rays = 0
         undecided = 0
-        for step in neighbors_all(cert, depth_limit):
+        for step in neighbors_all(cert):
             if isinstance(step, PolyhedronRay):
                 rays += 1
             elif isinstance(step, UndecidedDirection):

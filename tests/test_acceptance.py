@@ -16,7 +16,7 @@ from percop.certify import Factorization, NotCp, cp_certify
 from percop.cop import (NotCopositive, StrictlyCopositive, classical_min,
                         copositive_min, enumerate_below)
 from percop.cop import test_copositivity as check_cop
-from percop.core import (SymMat, basis_e, identity, inertia, inner,
+from percop.core import (SymMat, basis_e, dim_sym, identity, inertia, inner,
                          quad_form, rank_one)
 from percop.families import (LiftWitness, embed_classical, fixtures, lift,
                              minkowski_reduced_check, p_k, q_an)
@@ -171,10 +171,21 @@ def test_criterion_05_lifting():
         assert not inertia(stage).is_positive_semidefinite()
         assert not stage.has_nonneg_entries()
 
-    # the exceptional lineage stays exceptional: the shrunk witness is still
-    # doubly nonnegative and its inner product with the lift is unchanged
+    # the second lift of E is perfect too: its 233 minimal vectors are the
+    # lifting formula's, and they span the 28-dimensional space
     e_up = lifted_of[fx.E.coords]
     e_up2 = lift(e_up, LiftWitness(e_up, (1, 0, 0, 0, 0, 4)))
+    assert check_cop(e_up2) == StrictlyCopositive(Fraction(4, 451))
+    up2_res = copositive_min(e_up2)
+    assert up2_res.min_value == 2
+    assert set(up2_res.vectors) == \
+        _lift_formula(copositive_min(e_up).vectors)
+    assert len(up2_res.vectors) == 233
+    cert = is_perfect_copositive(e_up2)
+    assert cert and cert.span_rank == 28 == dim_sym(7)
+
+    # the exceptional lineage stays exceptional: the shrunk witness is still
+    # doubly nonnegative and its inner product with the lift is unchanged
     witness = fx.Q_dnn
     target_value = inner(fx.E, fx.Q_dnn)
     for stage in (e_up, e_up2):
@@ -369,8 +380,7 @@ def test_criterion_12_oracle_equivalence():
         c = max(b.entry(i, i) for i in range(n))
         if Fraction(c) / verdict.mu_lb > 625:
             continue
-        assert enumerate_below(b, c, verdict.mu_lb) == \
-            _box_vectors(b, c, verdict.mu_lb)
+        assert enumerate_below(b, c) == _box_vectors(b, c, verdict.mu_lb)
         done += 1
 
     decided = 0
@@ -386,7 +396,7 @@ def test_criterion_12_oracle_equivalence():
             expect = NotCopositive
         else:
             continue
-        got = check_cop(m, depth_limit=64)
+        got = check_cop(m)
         assert isinstance(got, expect), m
         if expect is NotCopositive:
             assert quad_form(m, got.witness) < 0

@@ -215,24 +215,6 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert code == 1
 
 
-def test_depth_limit_env_fallback(tmp_path, capsys, monkeypatch):
-    path = _write(tmp_path, "e12.json", SymMat.from_rows([[0, 1], [1, 0]]))
-    monkeypatch.setenv("PERCOP_DEPTH_LIMIT", "3")
-    code, body = _run(capsys, ["copmin", path])
-    assert code == 4
-    monkeypatch.setenv("PERCOP_DEPTH_LIMIT", "many")
-    code, body = _run(capsys, ["copmin", path])
-    assert code == 1
-    assert body["error"] == "malformed-input"
-
-
-def test_depth_limit_flag_overrides_env(tmp_path, capsys, monkeypatch):
-    path = _write(tmp_path, "a2.json", q_an(2))
-    monkeypatch.setenv("PERCOP_DEPTH_LIMIT", "nonsense")
-    code, body = _run(capsys, ["copmin", path, "--depth-limit", "20"])
-    assert code == 0
-
-
 def test_output_is_byte_deterministic(tmp_path, capsys):
     path = _write(tmp_path, "a3.json", q_an(3))
     main(["copmin", path])
@@ -243,16 +225,16 @@ def test_output_is_byte_deterministic(tmp_path, capsys):
     assert first.endswith("\n")
 
 
-# (command, matrix, exit code, stdout in compact JSON): a witness, a
-# witness at a midpoint of the simplex partition and the neighbourhood of
-# Q_A3/2.  stdout must be exactly the indent-2, key-sorted rendering of the
-# compact form, newline-terminated.
+# (command, matrix, exit code, stdout in compact JSON): two witnesses, each
+# the least-support minimiser on the simplex, the neighbourhood of Q_A3/2,
+# and a copositive matrix with a zero.  stdout must be exactly the indent-2,
+# key-sorted rendering of the compact form, newline-terminated.
 _PINNED_STDOUT = [
     ("copmin", SymMat.from_rows([[2, -3], [-3, 2]]), 2,
      '{"error":"not-copositive","witness":["1/2","1/2"]}'),
     ("perfect", SymMat.from_rows([[7, 0, -4], [0, 1, -2], [-4, -2, 4]]), 0,
      '{"perfect":false,"reason":"not-strictly-copositive",'
-     '"witness":["1/4","1/2","1/4"]}'),
+     '"witness":["12/71","34/71","25/71"]}'),
     ("neighbors", q_an(3).scale(Fraction(1, 2)), 0,
      '{"steps":['
      '{"kind":"neighbor","lambda":"1/2","matrix":{"entries":'
@@ -272,6 +254,13 @@ _PINNED_STDOUT = [
      '{"kind":"neighbor","lambda":"1/2","matrix":{"entries":'
      '[["2","-1","0"],["-1","1","-1/2"],["0","-1/2","1"]],"n":3},'
      '"new_vectors":[[1,2,1]]}]}'),
+    # copositive with a zero on the simplex: decided, not undecided
+    ("copmin", SymMat.from_rows([[0, 1], [1, 0]]), 2,
+     '{"detail":"the copositive minimum needs a strictly copositive '
+     'matrix; this one is 0 on the simplex","error":"precondition-violation",'
+     '"reason":"not-strictly-copositive","zero":["0","1"]}'),
+    ("perfect", SymMat.from_rows([[0, 1], [1, 0]]), 0,
+     '{"perfect":false,"reason":"not-strictly-copositive"}'),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Branch-and-bound copositivity, pruned enumeration, copositive minima.
+"""Exact simplex minima, pruned enumeration, copositive minima.
 
 The n=2 cases have a complete closed-form oracle (COP^2 is the union of the
 PSD and the nonnegative matrices), which pins down every verdict; higher
@@ -8,23 +8,22 @@ worked examples.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from percop.cop import (Copositive, NotCopositive, StrictlyCopositive,
-                        Undecided, _bnb, _enumerate_scaled, _int_form,
-                        _radius, _suffix_bounds, _survey_below,
-                        certify_copositive, classical_below, classical_min,
-                        copositive_min, enumerate_below, minresult_to_json)
+from percop.cop import (Copositive, NotCopositive, StrictlyCopositive, _bnb,
+                        _enumerate_scaled, _int_form, _radius,
+                        _suffix_bounds, _survey_below, certify_copositive,
+                        classical_below, classical_min, copositive_min,
+                        enumerate_below, minresult_to_json)
 from percop.cop import test_copositivity as check_cop
 from percop.core import SymMat, basis_e, identity, quad_form
-from percop.errors import (NotCopositiveError, PreconditionError,
-                           UndecidedError)
-from percop.families import fixtures, p_k, q_an
+from percop.errors import NotCopositiveError, PreconditionError
+from percop.families import LiftWitness, fixtures, lift, p_k, q_an
 from percop.walk import kernel_zero
 
 
@@ -70,75 +69,77 @@ def test_strict_bound_is_a_simplex_lower_bound():
         assert quad_form(q_an(3), fx) >= verdict.mu_lb
 
 
-def test_boundary_matrix_is_undecided_strictly():
+def test_boundary_matrix_has_minimum_zero():
     e12 = basis_e(2, 0, 1)
-    assert isinstance(check_cop(e12, depth_limit=6), Undecided)
-    # but the non-strict certifier decides it at the root
-    soft = certify_copositive(e12)
-    assert isinstance(soft, Copositive)
-    assert soft.mu_lb == 0
+    assert check_cop(e12) == Copositive(0)
+    assert certify_copositive(e12) == Copositive(0)
+    assert check_cop(basis_e(3, 0, 2)) == Copositive(0)
 
 
-def test_depth_limit_zero_boundary():
-    verdict = check_cop(basis_e(3, 0, 2), depth_limit=0)
-    assert isinstance(verdict, Undecided)
-    assert verdict.depth == 0
+_E = fixtures().E
+_E1 = lift(_E, LiftWitness(_E, (1, 0, 0, 0, 4)))
+_E2 = lift(_E1, LiftWitness(_E1, (1, 0, 0, 0, 0, 4)))
 
 
-def test_negative_cell_budget_is_refused():
-    with pytest.raises(PreconditionError) as exc:
-        check_cop(identity(2), 64, -1)
-    assert exc.value.reason == "bad-cell-budget"
-    # budget 0 stays legal: the root cell is not split
-    assert isinstance(check_cop(basis_e(3, 0, 2), 64, 0), Undecided)
-
-
-# (integer matrix or SymMat, depth_limit, strict, cell_budget, tag, answer):
-# the bound as a Fraction, the witness as a reduced (vector, exponent) pair,
-# or the undecided depth.  The root simplex has all edges equally long, so
-# every case with n >= 3 that splits, E and q_an(5) among them, pins the
-# tie-break between longest edges.  _WALK_REFUTED is a survey matrix of a
-# walk step, refuted by a vertex with denominator 2^8.
+# (integer matrix or SymMat, its minimum on the standard simplex, the lattice
+# point of its least-support minimiser or None).  _WALK_REFUTED is a
+# survey matrix of a walk step.
 _WALK_REFUTED = [[2, -7, 5], [-7, 26, -18], [5, -18, 12]]
-_BNB_PINS = [
-    ([[-3]], 64, True, 100, 'not', ((1,), 0)),
-    ([[-3]], 64, False, 100, 'not', ((1,), 0)),
-    ([[5]], 64, True, 100, 'strict', Fraction(5)),
-    ([[5]], 64, False, 100, 'cop', Fraction(5)),
-    ([[0]], 64, True, 100, 'undec', 0),
-    ([[0]], 64, False, 100, 'cop', Fraction(0)),
-    (basis_e(2, 0, 1), 6, True, 2_000_000, 'undec', 6),
-    (basis_e(3, 0, 2), 0, True, 2_000_000, 'undec', 0),
-    (q_an(4), 64, True, 10, 'undec', 8),
-    (q_an(4), 64, True, 100, 'undec', 7),
-    (q_an(4), 64, True, 1000, 'strict', Fraction(1, 16)),
-    (fixtures().E, 64, True, 2_000_000, 'strict', Fraction(3, 2048)),
-    (fixtures().E, 1024, True, 2_000_000, 'strict', Fraction(3, 2048)),
-    (q_an(5), 64, True, 2_000_000, 'strict', Fraction(1, 64)),
-    (q_an(5), 1024, True, 2_000_000, 'strict', Fraction(1, 64)),
-    (_WALK_REFUTED, 64, True, 200_000, 'not', ((89, 83, 84), 8)),
-    (_WALK_REFUTED, 1024, True, 200_000, 'not', ((89, 83, 84), 8)),
-    # refuted at a midpoint, strict and non-strict
-    ([[7, 0, -4], [0, 1, -2], [-4, -2, 4]], 64, True, 1_000_000,
-     'not', ((1, 2, 1), 2)),
-    ([[1, -4, 6], [-4, 8, 2], [6, 2, 3]], 8, False, 1_000_000,
-     'not', ((3, 1, 0), 2)),
-    # the midpoint (1,1,0)/2, of value -1/4, is tested as the second cell
-    # is split, so it refutes within a budget of two cells
-    ([[0, -3, 3], [-3, 5, 9], [3, 9, 6]], 8, True, 2,
-     'not', ((1, 1, 0), 1)),
+_KERNEL_PINS = [
+    ([[-3]], Fraction(-3), (1,)),
+    ([[5]], Fraction(5), (1,)),
+    ([[0]], Fraction(0), (1,)),
+    (basis_e(2, 0, 1), Fraction(0), (0, 1)),
+    (_E, Fraction(4, 451), None),
+    (_E1, Fraction(4, 451), None),
+    (_E2, Fraction(4, 451), None),
+    (q_an(5), Fraction(2, 35), None),
+    (q_an(6), Fraction(1, 28), None),
+    (_WALK_REFUTED, Fraction(-6, 37), (0, 15, 22)),
+    ([[7, 0, -4], [0, 1, -2], [-4, -2, 4]], Fraction(-16, 71), (12, 34, 25)),
+    ([[2, -1, -2], [-1, 2, -2], [-2, -2, 8]], Fraction(0), (2, 2, 1)),
 ]
 
 
-@pytest.mark.parametrize("m,depth_limit,strict,budget,tag,answer", _BNB_PINS)
-def test_bnb_pinned_outputs(m, depth_limit, strict, budget, tag, answer):
-    bi = m if isinstance(m, list) else _int_form(m)[0]
-    got_tag, data = _bnb(bi, depth_limit, strict, budget)
-    assert got_tag == tag
-    if tag in ('strict', 'cop'):
-        num, e = data
-        data = Fraction(num, 1 << e)
-    assert data == answer
+@pytest.mark.parametrize("m,mu,x", _KERNEL_PINS)
+def test_kernel_pinned_minima(m, mu, x):
+    bi, den = (m, 1) if isinstance(m, list) else _int_form(m)
+    got_mu, got_x, faces = _bnb(bi)
+    assert got_mu / den == mu and faces[0] == got_mu
+    assert sum(got_x) == 1 and min(got_x) >= 0
+    if x is not None:
+        assert got_x == tuple(Fraction(t, sum(x)) for t in x)
+    # the minimiser attains mu, and on its support bi x = mu 1
+    n = len(bi)
+    bx = [sum(bi[i][j] * got_x[j] for j in range(n)) for i in range(n)]
+    assert sum(t * u for t, u in zip(got_x, bx)) == got_mu
+    assert all(bx[i] == got_mu for i in range(n) if got_x[i])
+
+
+@st.composite
+def _integer_matrices(draw):
+    n = draw(st.integers(1, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-5, 6))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices())
+def test_kernel_minimum_against_box(rows):
+    # the minimiser attains mu, no lattice point of {0..4}^n lies below it
+    # on the simplex, and faces[k] is the minimum on coordinates k..n-1
+    mu, x, faces = _bnb(rows)
+    n = len(rows)
+    assert min(x) >= 0 and sum(x) == 1
+    assert quad_form(SymMat.from_rows(rows), x) == mu
+    b = SymMat.from_rows(rows)
+    for v in product(range(5), repeat=n):
+        if any(v):
+            assert quad_form(b, v) >= mu * sum(v) ** 2
+    assert faces == [_bnb([r[k:] for r in rows[k:]])[0] for k in range(n)]
 
 
 def test_random_n2_against_closed_form():
@@ -146,14 +147,14 @@ def test_random_n2_against_closed_form():
     for _ in range(300):
         m = _sym2(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
         expect = _oracle2(m)
-        got = check_cop(m, depth_limit=64)
+        got = check_cop(m)
         if expect == 'strict':
             assert isinstance(got, StrictlyCopositive), m
         elif expect == 'not':
             assert isinstance(got, NotCopositive), m
             assert quad_form(m, got.witness) < 0
         else:
-            assert isinstance(got, Undecided), m
+            assert got == Copositive(0), m
 
 
 def test_scaling_law():
@@ -213,27 +214,27 @@ def test_copositive_min_rejects_non_copositive():
     assert quad_form(_sym2(1, -5, 1), exc.value.witness) < 0
 
 
-def test_copositive_min_boundary_raises_undecided():
-    with pytest.raises(UndecidedError) as exc:
-        copositive_min(basis_e(2, 0, 1), 8)
-    assert "undecided at depth" in str(exc.value)
+def test_copositive_min_boundary_raises_precondition():
+    with pytest.raises(PreconditionError) as exc:
+        copositive_min(basis_e(2, 0, 1))
+    assert exc.value.reason == "not-strictly-copositive"
+    assert exc.value.payload == {"zero": ["0", "1"]}
 
 
 def test_enumerate_below_parameter_validation():
-    with pytest.raises(PreconditionError):
-        enumerate_below(q_an(2), 2, 0)
-    with pytest.raises(PreconditionError):
-        enumerate_below(q_an(2), 2, Fraction(-1, 2))
-    with pytest.raises(PreconditionError):
-        enumerate_below(q_an(2), 0, Fraction(1, 2))
-    # thresholds and bounds are exact: floats and bools are refused, and the
-    # message names the argument
-    for c, mu_lb, name in ((2.1, Fraction(1, 2), "threshold c"),
-                           (2, 0.5, "mu_lb"),
-                           (True, Fraction(1, 2), "threshold c"),
-                           (2, True, "mu_lb")):
-        with pytest.raises(ValueError, match="^%s must be" % name):
-            enumerate_below(q_an(2), c, mu_lb)
+    with pytest.raises(PreconditionError) as exc:
+        enumerate_below(q_an(2), 0)
+    assert exc.value.reason == "c-not-positive"
+    # the matrix must be strictly copositive
+    for m in (basis_e(2, 0, 1), _sym2(2, -3, 2)):
+        with pytest.raises(PreconditionError) as exc:
+            enumerate_below(m, 2)
+        assert exc.value.reason == "not-strictly-copositive"
+    # thresholds are exact: floats and bools are refused, and the message
+    # names the argument
+    for c in (2.1, True):
+        with pytest.raises(ValueError, match="^threshold c must be"):
+            enumerate_below(q_an(2), c)
     with pytest.raises(ValueError, match="^threshold c must be"):
         classical_below(q_an(2), 2.5)
     with pytest.raises(ValueError, match="^threshold c must be"):
@@ -267,9 +268,12 @@ def test_enumerate_below_against_box():
         c = max(b.entry(i, i) for i in range(n))
         if Fraction(c) / verdict.mu_lb > 400:
             continue
-        assert enumerate_below(b, c, verdict.mu_lb) == \
-            _box_brute_force(b, c, verdict.mu_lb)
+        assert enumerate_below(b, c) == _box_brute_force(b, c, verdict.mu_lb)
         checked += 1
+
+
+def test_enumerate_below_of_the_identity():
+    assert enumerate_below(identity(2), 2) == ((0, 1), (1, 0), (1, 1))
 
 
 def _is_below(b, c, v):
@@ -278,8 +282,7 @@ def _is_below(b, c, v):
 
 
 def test_survey_refutes_at_a_dyadic_zero():
-    # PSD and singular, zero at (1,0,1)/2: the midpoint of an edge of the
-    # partition is a lattice point with value 0
+    # PSD and singular, zero at (1,0,1)/2, whose lattice point has value 0
     half = Fraction(1, 2)
     b = SymMat.from_rows([[1, half, -1], [half, 1, -half], [-1, -half, 1]])
     tag, data = _survey_below(b, 1)
@@ -287,11 +290,11 @@ def test_survey_refutes_at_a_dyadic_zero():
     assert len(data) == 1 and _is_below(b, 1, data[0])
 
 
-def test_survey_undecided_at_a_non_dyadic_zero():
+def test_survey_refutes_at_a_non_dyadic_zero():
     # PSD and singular, zero at (2,2,1)/5, which no bisection reaches
     half = Fraction(1, 2)
     b = SymMat.from_rows([[1, -half, -1], [-half, 1, -1], [-1, -1, 4]])
-    assert _survey_below(b, 1) == ('undec', None)
+    assert _survey_below(b, 1) == ('not', ((2, 2, 1),))
     assert kernel_zero(b) == (2, 2, 1)
 
 
@@ -322,11 +325,11 @@ def _survey_cases(draw):
 @given(_survey_cases())
 def test_survey_against_box(case):
     b, c = case
-    tag, data = _survey_below(b, c, 24, 20_000)
+    tag, data = _survey_below(b, c)
     if tag == 'not':
         assert data and all(_is_below(b, c, v) for v in data)
     elif tag == 'ok':
-        verdict = check_cop(b, 24, 20_000)
+        verdict = check_cop(b)
         assert isinstance(verdict, StrictlyCopositive)
         assume(c / verdict.mu_lb <= 150)
         assert data == _box_brute_force(b, c, verdict.mu_lb)
@@ -352,7 +355,7 @@ def _strict_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_strict_cases())
 def test_copositive_min_against_box(b):
-    verdict = check_cop(b, 24, 20_000)
+    verdict = check_cop(b)
     assume(isinstance(verdict, StrictlyCopositive))
     c0 = min(b.entry(i, i) for i in range(b.n))
     assume(c0 / verdict.mu_lb <= 150)
@@ -413,7 +416,7 @@ def _capped_cases(draw):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = draw(st.integers(-4, 6) if i != j
                                            else st.integers(1, 9))
-    verdict = check_cop(SymMat.from_rows(rows), 24, 20_000)
+    verdict = check_cop(SymMat.from_rows(rows))
     assume(isinstance(verdict, StrictlyCopositive))
     least = min(rows[i][i] for i in range(n))
     cap = least + Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 3)))
@@ -425,7 +428,7 @@ def _capped_cases(draw):
 @given(_capped_cases())
 def test_least_mode_keeps_the_least_part_of_the_default_mode(case):
     rows, mu, cap = case
-    mus = _suffix_bounds(rows, mu, 24, 20_000)
+    mus = _suffix_bounds(_bnb(rows))
     radius = _radius(cap, mu)
     every = _enumerate_scaled(rows, cap.numerator, cap.denominator, radius,
                               mus)
@@ -435,16 +438,16 @@ def test_least_mode_keeps_the_least_part_of_the_default_mode(case):
         _least_part(every, SymMat.from_rows(rows))
 
 
-def test_copositive_min_of_e_in_reversed_order():
-    # radius 192 at the least diagonal entry 18/3 = 6, against 110 in the
-    # paper's order
+def test_copositive_min_of_e_in_every_order():
+    # the exact simplex minimum does not depend on the coordinate order, and
+    # neither does the enumeration radius it gives
     fx = fixtures()
-    perm = (4, 3, 2, 1, 0)
-    m = SymMat.from_rows([[fx.E.entry(i, j) for j in perm] for i in perm])
-    res = copositive_min(m)
-    assert res.min_value == 2
-    assert res.vectors == tuple(sorted(tuple(v[i] for i in perm)
-                                       for v in fx.minc_E))
+    for perm in permutations(range(5)):
+        m = SymMat.from_rows([[fx.E.entry(i, j) for j in perm] for i in perm])
+        res = copositive_min(m)
+        assert res.min_value == 2
+        assert res.vectors == tuple(sorted(tuple(v[i] for i in perm)
+                                           for v in fx.minc_E))
 
 
 def test_infinity_norm_bound_invariant():
@@ -454,7 +457,7 @@ def test_infinity_norm_bound_invariant():
     c = 6
     ratio = Fraction(c) / verdict.mu_lb
     radius = isqrt(ratio.numerator // ratio.denominator)
-    for v in enumerate_below(b, c, verdict.mu_lb):
+    for v in enumerate_below(b, c):
         assert max(v) <= radius
         assert quad_form(b, v) <= c
 
