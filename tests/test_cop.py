@@ -69,7 +69,9 @@ def test_strict_bound_is_a_simplex_lower_bound():
         assert quad_form(q_an(3), fx) >= verdict.mu_lb
 
 
-def test_boundary_matrix_has_minimum_zero():
+def test_boundary_matrix_is_undecided_strictly():
+    # named for the boundary matrices the simplex partition left undecided
+    # under the strict test; the exact minimum decides them as Copositive(0)
     e12 = basis_e(2, 0, 1)
     assert check_cop(e12) == Copositive(0)
     assert certify_copositive(e12) == Copositive(0)
@@ -214,7 +216,9 @@ def test_copositive_min_rejects_non_copositive():
     assert quad_form(_sym2(1, -5, 1), exc.value.witness) < 0
 
 
-def test_copositive_min_boundary_raises_precondition():
+def test_copositive_min_boundary_raises_undecided():
+    # named for the UndecidedError the simplex partition raised here; the
+    # exact minimum refuses the boundary matrix with its zero instead
     with pytest.raises(PreconditionError) as exc:
         copositive_min(basis_e(2, 0, 1))
     assert exc.value.reason == "not-strictly-copositive"
@@ -290,8 +294,10 @@ def test_survey_refutes_at_a_dyadic_zero():
     assert len(data) == 1 and _is_below(b, 1, data[0])
 
 
-def test_survey_refutes_at_a_non_dyadic_zero():
-    # PSD and singular, zero at (2,2,1)/5, which no bisection reaches
+def test_survey_undecided_at_a_non_dyadic_zero():
+    # PSD and singular, zero at (2,2,1)/5, which no bisection reaches, so
+    # the simplex partition left this survey undecided; the exact minimum
+    # refutes it at the zero's lattice point
     half = Fraction(1, 2)
     b = SymMat.from_rows([[1, -half, -1], [-half, 1, -1], [-1, -1, 4]])
     assert _survey_below(b, 1) == ('not', ((2, 2, 1),))
@@ -436,6 +442,16 @@ def test_least_mode_keeps_the_least_part_of_the_default_mode(case):
                                     radius, mus, least=True)
     assert (best, tuple(sorted(found))) == \
         _least_part(every, SymMat.from_rows(rows))
+
+
+def test_copositive_min_of_e_in_reversed_order():
+    fx = fixtures()
+    perm = (4, 3, 2, 1, 0)
+    m = SymMat.from_rows([[fx.E.entry(i, j) for j in perm] for i in perm])
+    res = copositive_min(m)
+    assert res.min_value == 2
+    assert res.vectors == tuple(sorted(tuple(v[i] for i in perm)
+                                       for v in fx.minc_E))
 
 
 def test_copositive_min_of_e_in_every_order():
