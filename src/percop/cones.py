@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .core import (Rat, SymMat, dim_sym, inner, int_rref, nullspace,
+from .core import (Rat, SymMat, dim_sym, inner, int_rref, nullspace, pivot,
                    primitive)
 from .errors import PreconditionError
 
@@ -143,9 +144,15 @@ class FarkasCertificate:
 def lp_nonneg_solve(generators, target: SymMat):
     """Write target as a nonnegative combination of generators, or separate.
 
-    Phase-I simplex with Bland's rule over the rationals; exactly one of the
-    two outcomes exists by LP duality, and whichever is found is verified by
-    substitution before being returned.
+    Phase-I simplex with Bland's rule; exactly one of the two outcomes
+    exists by LP duality, and whichever is found is verified by
+    substitution before being returned.  The tableau, its last row the
+    reduced costs, is held as integer rows over one common pivot d and
+    updated by core's fraction-free ``pivot``.  d starts as the lcm of the
+    target's denominators, and the generators are scaled by the lcm s of
+    theirs, which leaves the pivots as they are; so every entry is an
+    integer and every division exact.  Every pivot is positive, so signs
+    and ratios are read off the integers, and a coefficient is s*x/d.
     """
     generators = list(generators)
     n = target.n
@@ -156,51 +163,38 @@ def lp_nonneg_solve(generators, target: SymMat):
                                     % (g.n, n))
     D = dim_sym(n)
     m = len(generators)
-    flips = []
-    rows = []
-    for k in range(D):
-        rhs = target.coords[k]
-        flip = -1 if rhs < 0 else 1
-        flips.append(flip)
-        rows.append([flip * g.coords[k] for g in generators] + [Fraction(0)] * D
-                    + [flip * rhs])
-    for k in range(D):
-        rows[k][m + k] = Fraction(1)
+    d = lcm(*(c.denominator for c in target.coords))
+    s = lcm(*(c.denominator for g in generators for c in g.coords))
+    flips = [-1 if rhs < 0 else 1 for rhs in target.coords]
+    rows = [[int(f * d * s * g.coords[k]) for g in generators]
+            + [d * (j == k) for j in range(D)] + [int(f * d * target.coords[k])]
+            for k, f in enumerate(flips)]
+    # reduced costs for minimizing the artificial sum: r_j = c_j - 1^T A_j,
+    # and minus the artificial sum on the right
+    rows.append([-sum(col) for col in zip(*rows)])
+    rows[D][m:m + D] = [0] * D
     basis = list(range(m, m + D))
-    # reduced costs for minimizing the artificial sum: r_j = c_j - 1^T A_j
-    red = [-sum(rows[k][j] for k in range(D)) for j in range(m)] \
-        + [Fraction(0)] * D
     while True:
-        enter = next((j for j in range(m + D) if red[j] < 0), None)
+        enter = next((j for j in range(m + D) if rows[D][j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for r in range(D):
             coef = rows[r][enter]
-            if coef > 0:
-                ratio = rows[r][-1] / coef
-                if best is None or ratio < best or \
-                        (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+            # least ratio rhs/coef, by cross-multiplication; ties by basis
+            if coef > 0 and (leave is None or
+                             (rows[r][-1] * rows[leave][enter], basis[r])
+                             < (rows[leave][-1] * coef, basis[leave])):
+                leave = r
         if leave is None:
             raise RuntimeError("phase-I simplex claims unboundedness")
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for r in range(D):
-            if r != leave and rows[r][enter] != 0:
-                f = rows[r][enter]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[leave])]
-        f = red[enter]
-        red = [x - f * y for x, y in zip(red, rows[leave][:-1])]
+        d = pivot(rows, leave, enter, d)
         basis[leave] = enter
-    objective = sum(rows[r][-1] for r in range(D) if basis[r] >= m)
-    if objective == 0:
+    if rows[D][-1] == 0:
         alpha = [Fraction(0)] * m
         for r in range(D):
             if basis[r] < m:
-                alpha[basis[r]] = rows[r][-1]
+                alpha[basis[r]] = Fraction(s * rows[r][-1], d)
         check = [Fraction(0)] * D
         for a, g in zip(alpha, generators):
             if a < 0:
@@ -211,12 +205,10 @@ def lp_nonneg_solve(generators, target: SymMat):
             raise RuntimeError("feasible solution failed substitution check")
         return NonnegCombination(tuple(alpha))
     # infeasible: read the dual off the artificial columns, y = c_B B^{-1}
-    y = []
-    for k in range(D):
-        y.append(flips[k] * sum(rows[r][m + k] for r in range(D)
-                                if basis[r] >= m))
-    coords = [-y[k] if k < n else -y[k] / 2 for k in range(D)]
-    w = SymMat(n, tuple(Fraction(c) for c in coords))
+    y = [flips[k] * sum(rows[r][m + k] for r in range(D) if basis[r] >= m)
+         for k in range(D)]
+    w = SymMat(n, tuple(Fraction(-y[k], d if k < n else 2 * d)
+                        for k in range(D)))
     for g in generators:
         if inner(w, g) < 0:
             raise RuntimeError("Farkas certificate failed on a generator")

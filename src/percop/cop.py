@@ -38,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from typing import Union
 
-from .core import (Rat, SymMat, _fraction_to_str, _rational, inertia,
-                   int_rref, nullspace, primitive, quad_form)
+from .core import (Rat, SymMat, _fraction_to_str, _int_form, _rational,
+                   inertia, int_rref, nullspace, primitive, quad_form)
 from .errors import NotCopositiveError, PreconditionError
 
 
@@ -83,15 +83,6 @@ def minresult_to_json(result: MinResult) -> dict:
 
 # ---------------------------------------------------------------------------
 # the exact simplex minimum
-
-def _int_form(b: SymMat) -> tuple[list[list[int]], int]:
-    """Integer matrix den*B together with the denominator den > 0."""
-    den = 1
-    for c in b.coords:
-        den = lcm(den, c.denominator)
-    rows = [[int(b.entry(i, j) * den) for j in range(b.n)] for i in range(b.n)]
-    return rows, den
-
 
 def _bnb(bi):
     """(mu, x, faces): the minimum of x^T bi x over the standard simplex.

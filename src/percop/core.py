@@ -4,6 +4,10 @@ Symmetric matrices are stored by their upper triangle in a fixed coordinate
 order: diagonal entries first, then off-diagonal entries row by row.  All
 entries are ``fractions.Fraction``; nothing in this package ever rounds.
 Integer vectors are plain tuples of ints.
+
+Exact elimination, in ``int_rref`` and in the Phase-I LP of ``cones``, takes
+one fraction-free step on integer rows, ``pivot`` (Edmonds, J. Res. NBS 71B,
+1967; Bareiss).
 """
 
 from __future__ import annotations
@@ -199,8 +203,7 @@ def inertia(q: SymMat) -> Inertia:
     ones exactly, and the zero ones are the trailing zero coefficients.
     """
     n = q.n
-    den = lcm(*(c.denominator for c in q.coords))
-    a = [[int(x * den) for x in row] for row in q.rows()]
+    a = _int_form(q)[0]
     coeffs = [1]  # of x^n, x^(n-1), ..., x^0
     m = [[0] * n for _ in range(n)]  # A M_(k-1), with M_0 = 0
     for k in range(1, n + 1):
@@ -217,6 +220,12 @@ def inertia(q: SymMat) -> Inertia:
 # ---------------------------------------------------------------------------
 # exact integer linear algebra
 
+def _int_form(b: SymMat) -> tuple[list[list[int]], int]:
+    """Integer matrix den*B together with the denominator den > 0."""
+    den = lcm(*(c.denominator for c in b.coords))
+    return [[int(x * den) for x in row] for row in b.rows()], den
+
+
 def primitive(vec) -> tuple[int, ...]:
     """The integer vector of content 1 on the ray of a rational vector.
 
@@ -228,14 +237,28 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def pivot(m: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free pivot on m[r][c], in place; returns p = m[r][c].
+
+    Every row other than r becomes (p*row - row[c]*m[r]) // prev, even where
+    row[c] is 0: the rows stay over one common pivot, the previous one, so
+    each division is exact.  p is the next prev (1 before the first pivot).
+    """
+    pr = m[r]
+    p = pr[c]
+    for i, row in enumerate(m):
+        if i != r:
+            f = row[c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+    return p
+
+
 def int_rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination (Bareiss) on integer rows.
 
     Returns (m, pivots).  Row i < len(pivots) of m holds the common pivot
     value d at column pivots[i] and 0 at every other pivot column; the
-    rows after them are zero.  Every row other than the pivot row is
-    updated at every pivot, even where its multiplier is 0, so each
-    division by the previous pivot is exact.
+    rows after them are zero.  Each step is one ``pivot`` after a row swap.
     """
     m = [list(r) for r in rows]
     pivots = []
@@ -248,13 +271,7 @@ def int_rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pr = m[r]
-        p = pr[c]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[c]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
-        prev = p
+        prev = pivot(m, r, c, prev)
         pivots.append(c)
     return m, pivots
 

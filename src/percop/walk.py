@@ -32,10 +32,9 @@ from hashlib import sha256
 from itertools import permutations
 
 from .cones import ConeHRep, extreme_rays
-from .cop import (Copositive, _bnb, _int_form, _survey_below,
-                  certify_copositive)
-from .core import (Rat, SymMat, dim_sym, inertia, mat_to_json, primitive,
-                   quad_form, rank_one, span_rank_of_vectors)
+from .cop import Copositive, _bnb, _survey_below, certify_copositive
+from .core import (Rat, SymMat, _int_form, dim_sym, inertia, mat_to_json,
+                   primitive, quad_form, rank_one, span_rank_of_vectors)
 from .errors import PreconditionError, WalkUndecidedError
 from .perfect import PerfectCertificate, is_perfect_copositive
 

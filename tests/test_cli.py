@@ -227,7 +227,7 @@ def test_output_is_byte_deterministic(tmp_path, capsys):
 
 # (command, matrix, exit code, stdout in compact JSON): two witnesses, each
 # the least-support minimiser on the simplex, the neighbourhood of Q_A3/2,
-# and a copositive matrix with a zero.  stdout must be exactly the indent-2,
+# a copositive matrix with a zero, and two certify verdicts.  stdout must be exactly the indent-2,
 # key-sorted rendering of the compact form, newline-terminated.
 _PINNED_STDOUT = [
     ("copmin", SymMat.from_rows([[2, -3], [-3, 2]]), 2,
@@ -261,6 +261,17 @@ _PINNED_STDOUT = [
      '"reason":"not-strictly-copositive","zero":["0","1"]}'),
     ("perfect", SymMat.from_rows([[0, 1], [1, 0]]), 0,
      '{"perfect":false,"reason":"not-strictly-copositive"}'),
+    # a rational CP factorization and a separating certificate
+    ("certify", SymMat.from_rows([[Fraction(1, 2), Fraction(1, 3), 0],
+                                  [Fraction(1, 3), 1, Fraction(1, 5)],
+                                  [0, Fraction(1, 5), Fraction(2, 3)]]), 0,
+     '{"factorization":[{"alpha":"7/15","vector":[0,0,1]},'
+     '{"alpha":"7/15","vector":[0,1,0]},{"alpha":"1/5","vector":[0,1,1]},'
+     '{"alpha":"1/6","vector":[1,0,0]},{"alpha":"1/3","vector":[1,1,0]}],'
+     '"verdict":"cp"}'),
+    ("certify", SymMat.from_rows([[1, 2], [2, 1]]), 3,
+     '{"certificate":{"entries":[["1","-3/2"],["-3/2","3"]],"n":2},'
+     '"value":"-2","verdict":"not-cp"}'),
 ]
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percop.cones import (ConeHRep, FarkasCertificate, NonnegCombination,
                           _sign_fixed, extreme_rays, lp_nonneg_solve,
@@ -232,3 +234,98 @@ def test_lp_random_membership_round_trip():
             term = g.scale(alpha)
             rebuilt = term if rebuilt is None else rebuilt + term
         assert rebuilt == target
+
+
+_THREE = (rank_one((1, 0)), rank_one((0, 1)), rank_one((1, 1)))
+_SMALL = SymMat.from_rows([[Fraction(1, 3), Fraction(1, 7)],
+                           [Fraction(1, 7), Fraction(2, 5)]])
+# (generators, target, "comb" or "farkas", coefficients or Farkas coords),
+# recorded from the Fraction-tableau LP: the inputs of the tests above, two
+# rational targets, no generators, and rational generators
+_LP_PINS = [
+    ([rank_one((1, 0)), rank_one((0, 1))], identity(2), "comb", ("1", "1")),
+    (_THREE, SymMat.from_rows([[3, 1], [1, 2]]), "comb", ("2", "1", "1")),
+    ([rank_one((1, 0))], basis_e(2, 0, 1), "farkas", ("0", "-1", "-1/2")),
+    ([rank_one(v) for v in product(range(4), repeat=2) if any(v)],
+     SymMat.from_rows([[1, 2], [2, 1]]), "farkas", ("2/5", "3/5", "-1/2")),
+    ([rank_one((1, 1))], SymMat(2, (0, 0, 0)), "comb", ("0",)),
+    (_THREE, _SMALL, "comb", ("4/21", "9/35", "1/7")),
+    (_THREE, SymMat.from_rows([[1, -1], [-1, Fraction(1, 2)]]), "farkas",
+     ("0", "0", "1/2")),
+    ([], identity(2), "farkas", ("-1", "-1", "-1/2")),
+    ([g.scale(Fraction(1, 2)) for g in _THREE], _SMALL, "comb",
+     ("8/21", "18/35", "2/7")),
+    ([rank_one((1, 0)).scale(Fraction(2, 3)),
+      rank_one((1, 2)).scale(Fraction(1, 6)),
+      rank_one((0, 1)).scale(Fraction(5, 4))], _SMALL, "comb",
+     ("11/28", "3/7", "16/175")),
+    ([rank_one((1, 0)).scale(Fraction(2, 3)),
+      rank_one((0, 1)).scale(Fraction(3, 4))],
+     SymMat.from_rows([[1, 3], [3, 1]]), "farkas", ("0", "0", "-1/2")),
+]
+# the nonzero coefficients of test_lp_random_membership_round_trip's targets
+_ROUND_TRIP_PINS = [
+    {9: "2/3", 12: "8/3", 14: "2/3", 18: "4/3", 21: "2/3"},
+    {0: "5/3", 9: "7/3", 13: "19/6", 18: "4/3", 20: "4/3", 21: "4/3"},
+    {3: "4", 8: "4/3", 11: "3/2", 12: "20/3", 15: "1/2"},
+    {9: "116/21", 12: "124/21", 13: "16/21", 18: "2/7", 20: "16/21",
+     21: "26/21"},
+    {0: "3/2", 2: "2/3", 6: "3", 11: "1/3", 12: "3", 14: "1/6"},
+    {3: "19/3", 6: "7/3", 8: "11/3", 9: "7/3", 11: "3", 12: "5/3"},
+    {0: "4", 3: "28/3", 4: "1", 12: "10"},
+    {0: "17/3", 3: "2/3", 8: "19/3", 9: "13/3", 11: "2/3", 12: "27"},
+    {0: "8", 8: "3/2", 9: "3", 11: "13"},
+    {9: "44/9", 12: "26/9", 13: "10/9", 18: "1/9", 21: "19/9", 22: "25/18"},
+]
+
+
+def test_lp_pinned_outputs():
+    for gens, target, kind, want in _LP_PINS:
+        out = lp_nonneg_solve(gens, target)
+        if kind == "comb":
+            assert isinstance(out, NonnegCombination)
+            assert out.coefficients == tuple(Fraction(x) for x in want)
+        else:
+            assert isinstance(out, FarkasCertificate)
+            assert out.matrix.coords == tuple(Fraction(x) for x in want)
+    rng = random.Random(13)
+    vecs = [v for v in product(range(3), repeat=3) if any(v)]
+    gens = [rank_one(v) for v in vecs]
+    for want in _ROUND_TRIP_PINS:
+        picks = rng.sample(range(len(gens)), 5)
+        coeffs = {i: Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                  for i in picks}
+        target = SymMat(3, (0,) * 6)
+        for i, alpha in coeffs.items():
+            target = target + gens[i].scale(alpha)
+        out = lp_nonneg_solve(gens, target)
+        assert out.coefficients == tuple(Fraction(want.get(i, 0))
+                                         for i in range(len(gens)))
+
+
+_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lp_agrees_with_double_description(data):
+    """The target is a nonnegative combination of the generators exactly
+    when it pairs nonnegatively with every extreme ray of their dual cone
+    and to 0 with its lineality (the cone is closed: bipolar theorem)."""
+    n = data.draw(st.integers(1, 3))
+    vecs = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * n),
+                              max_size=8))
+    gens = [rank_one(v) for v in vecs]
+    # half the targets are combinations of the generators, then perturbed
+    target = SymMat(n, (0,) * dim_sym(n))
+    for g in gens:
+        target = target + g.scale(data.draw(
+            st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))))
+    if not gens or data.draw(st.booleans()):
+        target = target + SymMat(n, tuple(
+            data.draw(_fractions) for _ in range(dim_sym(n))))
+    dual = extreme_rays(ConeHRep(n, tuple(gens)))
+    inside = (all(inner(r, target) >= 0 for r in dual.rays)
+              and all(inner(l, target) == 0 for l in dual.lineality))
+    out = lp_nonneg_solve(gens, target)
+    assert isinstance(out, NonnegCombination) == inside
