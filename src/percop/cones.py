@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .core import (Rat, SymMat, dim_sym, inner, int_rref, nullspace, pivot,
-                   primitive)
+from .core import (Rat, SymMat, _doubled, dim_sym, inner, int_rref, nullspace,
+                   pivot, primitive)
 from .errors import PreconditionError
 
 
@@ -55,9 +55,7 @@ class ConeVRep:
 
 def pairing_coeffs(a: SymMat) -> tuple[Rat, ...]:
     """Coordinate vector c with c . coords(B) = inner(A, B)."""
-    n = a.n
-    return tuple(a.coords[k] if k < n else 2 * a.coords[k]
-                 for k in range(dim_sym(n)))
+    return tuple(_doubled(a.coords, a.n))
 
 
 def _sign_fixed(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -77,7 +75,7 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
     """
     D = dim_sym(cone.n)
     coeffs = sorted(
-        (primitive(pairing_coeffs(a)) for a in cone.normals),
+        (primitive(_doubled(a._ints[0], a.n)) for a in cone.normals),
         key=lambda c: (sum(1 for x in c if x == 0), c))
     basis = int_rref(list(zip(*coeffs)), len(coeffs))[1]
     B = [list(coeffs[b]) for b in basis]
@@ -163,11 +161,12 @@ def lp_nonneg_solve(generators, target: SymMat):
                                     % (g.n, n))
     D = dim_sym(n)
     m = len(generators)
-    d = lcm(*(c.denominator for c in target.coords))
-    s = lcm(*(c.denominator for g in generators for c in g.coords))
-    flips = [-1 if rhs < 0 else 1 for rhs in target.coords]
-    rows = [[int(f * d * s * g.coords[k]) for g in generators]
-            + [d * (j == k) for j in range(D)] + [int(f * d * target.coords[k])]
+    t, d = target._ints
+    s = lcm(*(g._ints[1] for g in generators))
+    cols = [[d * s // g._ints[1] * x for x in g._ints[0]] for g in generators]
+    flips = [-1 if rhs < 0 else 1 for rhs in t]
+    rows = [[f * col[k] for col in cols]
+            + [d * (j == k) for j in range(D)] + [f * t[k]]
             for k, f in enumerate(flips)]
     # reduced costs for minimizing the artificial sum: r_j = c_j - 1^T A_j,
     # and minus the artificial sum on the right

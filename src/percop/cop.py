@@ -404,5 +404,6 @@ def classical_min(q: SymMat):
     bound: one representative per +-pair, first nonzero entry positive.
     """
     found = classical_below(q, min(q.entry(i, i) for i in range(q.n)))
-    best = min(quad_form(q, v) for v in found)
-    return best, tuple(v for v in found if quad_form(q, v) == best)
+    values = [quad_form(q, v) for v in found]
+    best = min(values)
+    return best, tuple(v for v, x in zip(found, values) if x == best)

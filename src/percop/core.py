@@ -5,6 +5,10 @@ order: diagonal entries first, then off-diagonal entries row by row.  All
 entries are ``fractions.Fraction``; nothing in this package ever rounds.
 Integer vectors are plain tuples of ints.
 
+Each SymMat computes its integer form ``den * coords`` (den the lcm of its
+denominators) once; the pairings ``quad_form`` and ``inner``, ``_int_form``
+and the LP and double description of ``cones`` all read it.
+
 Exact elimination, in ``int_rref`` and in the Phase-I LP of ``cones``, takes
 one fraction-free step on integer rows, ``pivot`` (Edmonds, J. Res. NBS 71B,
 1967; Bareiss).
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 from operator import mul
@@ -98,6 +103,13 @@ class SymMat:
                 coords.append(grid[i][j])
         return cls(n, tuple(coords))
 
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        """(den*coords, den), den the lcm of the denominators; not a field."""
+        den = lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (den // c.denominator)
+                     for c in self.coords), den
+
     def entry(self, i: int, j: int) -> Rat:
         if i > j:
             i, j = j, i
@@ -136,45 +148,56 @@ def basis_e(n: int, i: int, j: int) -> SymMat:
     return SymMat(n, tuple(coords))
 
 
+def _doubled(coords, n: int) -> list:
+    """coords with the off-diagonal entries, those after the n-th, doubled."""
+    return [c if k < n else 2 * c for k, c in enumerate(coords)]
+
+
+def _exact(v) -> list:
+    """The entries of v as ints and Fractions; floats and bools are refused."""
+    return [x if type(x) is int else _rational(x, "vector entries") for x in v]
+
+
+def _outer(v) -> list:
+    """Coordinates of v v^T, in SymMat's order."""
+    n = len(v)
+    return [x * x for x in v] + [v[i] * v[j] for i in range(n)
+                                 for j in range(i + 1, n)]
+
+
 def quad_form(q: SymMat, v: Sequence) -> Rat:
-    """Evaluate v^T Q v exactly; v may have rational entries."""
+    """Evaluate v^T Q v exactly; a rational v is scaled to integers first."""
     n = q.n
     if len(v) != n:
         raise ValueError("vector length %d does not match n=%d" % (len(v), n))
-    w = [Fraction(x) for x in v]
-    total = Fraction(0)
-    for i in range(n):
-        total += q.coords[i] * w[i] * w[i]
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += 2 * q.coords[k] * w[i] * w[j]
-            k += 1
-    return total
+    s = 1
+    if not all(type(x) is int for x in v):
+        v = _exact(v)
+        s = lcm(*(x.denominator for x in v))
+        v = [x.numerator * (s // x.denominator) for x in v]
+    ints, den = q._ints
+    total = 0
+    k = n  # row i's entries right of the diagonal are ints[k:k + n-1-i]
+    for i, x in enumerate(v):
+        if x:
+            total += x * (ints[i] * x + 2 * sum(
+                map(mul, ints[k:k + n - 1 - i], v[i + 1:])))
+        k += n - 1 - i
+    return Fraction(total, den * s * s)
 
 
 def inner(a: SymMat, b: SymMat) -> Rat:
     """Trace inner product sum_ij a_ij b_ij (off-diagonals count twice)."""
     if a.n != b.n:
         raise ValueError("size mismatch")
-    n = a.n
-    total = Fraction(0)
-    for i in range(n):
-        total += a.coords[i] * b.coords[i]
-    for k in range(n, dim_sym(n)):
-        total += 2 * a.coords[k] * b.coords[k]
-    return total
+    (ai, da), (bi, db) = a._ints, b._ints
+    return Fraction(sum(map(mul, ai, _doubled(bi, a.n))), da * db)
 
 
 def rank_one(v: Sequence[int]) -> SymMat:
-    """The matrix v v^T."""
-    n = len(v)
-    w = [Fraction(x) for x in v]
-    coords = [w[i] * w[i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords.append(w[i] * w[j])
-    return SymMat(n, tuple(coords))
+    """The matrix v v^T; v may have rational entries."""
+    w = _exact(v)
+    return SymMat(len(w), tuple(_outer(w)))
 
 
 @dataclass(frozen=True)
@@ -222,8 +245,10 @@ def inertia(q: SymMat) -> Inertia:
 
 def _int_form(b: SymMat) -> tuple[list[list[int]], int]:
     """Integer matrix den*B together with the denominator den > 0."""
-    den = lcm(*(c.denominator for c in b.coords))
-    return [[int(x * den) for x in row] for row in b.rows()], den
+    ints, den = b._ints
+    n = b.n
+    return [[ints[coord_index(n, min(i, j), max(i, j))] for j in range(n)]
+            for i in range(n)], den
 
 
 def primitive(vec) -> tuple[int, ...]:
@@ -304,13 +329,12 @@ def row_rank(rows: list[list[Rat]]) -> int:
 
 def span_rank(mats: Iterable[SymMat]) -> int:
     """Dimension of the linear span of the given symmetric matrices."""
-    rows = [list(mat.coords) for mat in mats]
-    return row_rank(rows)
+    return row_rank([mat._ints[0] for mat in mats])
 
 
 def span_rank_of_vectors(vectors: Iterable[Sequence[int]]) -> int:
     """Dimension of span{v v^T} for the given vectors."""
-    return span_rank(rank_one(v) for v in vectors)
+    return row_rank([_outer(_exact(v)) for v in vectors])
 
 
 # ---------------------------------------------------------------------------

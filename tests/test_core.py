@@ -20,7 +20,7 @@ from percop.core import (SymMat, basis_e, coord_index, dim_sym, identity,
                          mat_loads, mat_to_json, nullspace, primitive,
                          quad_form, rank_one, row_rank, span_rank,
                          span_rank_of_vectors)
-from percop.cop import enumerate_below
+from percop.cop import copositive_min, enumerate_below
 from percop.families import fixtures, q_an, p_k
 
 
@@ -296,6 +296,90 @@ def test_span_rank_bounded_by_dim():
     rng = random.Random(37)
     vecs = [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(40)]
     assert span_rank_of_vectors(vecs) <= dim_sym(3)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.5, True, False, None, 1j,
+                                 Decimal("0.5")])
+def test_pairings_refuse_inexact_vector_entries(bad):
+    """Floats and bools are refused, not rounded into a Fraction."""
+    with pytest.raises(ValueError, match="^vector entries must be"):
+        quad_form(q_an(2), [bad, 0])
+    with pytest.raises(ValueError, match="^vector entries must be"):
+        rank_one([1, bad])
+    with pytest.raises(ValueError, match="^vector entries must be"):
+        span_rank_of_vectors([(1, 0), (0, bad)])
+
+
+@st.composite
+def _rational_symmats(draw, n=None):
+    """Symmetric n x n matrices, n <= 5, of mixed denominators and signs."""
+    n = draw(st.integers(1, 5)) if n is None else n
+    coords = draw(st.lists(st.fractions(-20, 20, max_denominator=12),
+                           min_size=dim_sym(n), max_size=dim_sym(n)))
+    return SymMat(n, tuple(coords))
+
+
+def _vectors(n, entries):
+    return st.lists(entries, min_size=n, max_size=n)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_quad_form_matches_the_entrywise_sum(data):
+    q = data.draw(_rational_symmats())
+    rows = q.rows()
+    for v in (data.draw(_vectors(q.n, st.integers(-9, 9))),
+              data.draw(_vectors(q.n, st.fractions(-5, 5,
+                                                   max_denominator=7)))):
+        want = sum(rows[i][j] * Fraction(v[i]) * v[j]
+                   for i in range(q.n) for j in range(q.n))
+        got = quad_form(q, tuple(v))
+        assert type(got) is Fraction and got == want
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(_rational_symmats(n), _rational_symmats(n))))
+def test_inner_matches_the_entrywise_sum(pair):
+    a, b = pair
+    want = sum(x * y for ra, rb in zip(a.rows(), b.rows())
+               for x, y in zip(ra, rb))
+    got = inner(a, b)
+    assert type(got) is Fraction and got == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(_vectors(n, st.integers(-4, 4)), max_size=12)))
+def test_span_rank_of_vectors_matches_rank_one_and_sympy(vecs):
+    got = span_rank_of_vectors(vecs)
+    assert got == span_rank(rank_one(v) for v in vecs)
+    mats = [rank_one(v) for v in vecs]
+    stacked = sympy.Matrix([[sympy.Rational(c) for c in m.coords]
+                            for m in mats])
+    assert got == (stacked.rank() if vecs else 0)
+
+
+@settings(deadline=None)
+@given(_rational_symmats())
+def test_integer_form_leaves_equality_hash_and_repr(q):
+    twin = SymMat(q.n, q.coords)
+    before = (repr(q), hash(q))
+    ints, den = q._ints
+    assert den > 0 and all(type(x) is int for x in ints)
+    assert tuple(Fraction(x, den) for x in ints) == q.coords
+    assert (repr(q), hash(q)) == before == (repr(twin), hash(twin))
+    assert q == twin
+
+
+def test_integer_form_keeps_copositive_min_cache_hits():
+    q = q_an(4).scale(Fraction(3, 7))
+    res = copositive_min(q)
+    twin = SymMat(q.n, q.coords)
+    assert inner(q, twin) == inner(twin, q)  # both forms are read
+    hits = copositive_min.cache_info().hits
+    assert copositive_min(twin) is res
+    assert copositive_min.cache_info().hits == hits + 1
 
 
 def test_json_round_trip():
