@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .core import (Rat, SymMat, _doubled, dim_sym, inner, int_rref, nullspace,
-                   pivot, primitive)
+from .core import (Rat, SymMat, dim_sym, inner, int_rref, nullspace, pivot,
+                   primitive)
 from .errors import PreconditionError
 
 
@@ -55,7 +55,9 @@ class ConeVRep:
 
 def pairing_coeffs(a: SymMat) -> tuple[Rat, ...]:
     """Coordinate vector c with c . coords(B) = inner(A, B)."""
-    return tuple(_doubled(a.coords, a.n))
+    n = a.n
+    return tuple(a.coords[k] if k < n else 2 * a.coords[k]
+                 for k in range(dim_sym(n)))
 
 
 def _sign_fixed(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -75,7 +77,7 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
     """
     D = dim_sym(cone.n)
     coeffs = sorted(
-        (primitive(_doubled(a._ints[0], a.n)) for a in cone.normals),
+        (primitive(pairing_coeffs(a)) for a in cone.normals),
         key=lambda c: (sum(1 for x in c if x == 0), c))
     basis = int_rref(list(zip(*coeffs)), len(coeffs))[1]
     B = [list(coeffs[b]) for b in basis]

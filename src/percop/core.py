@@ -6,8 +6,7 @@ entries are ``fractions.Fraction``; nothing in this package ever rounds.
 Integer vectors are plain tuples of ints.
 
 Each SymMat computes its integer form ``den * coords`` (den the lcm of its
-denominators) once; the pairings ``quad_form`` and ``inner``, ``_int_form``
-and the LP and double description of ``cones`` all read it.
+denominators) once; ``quad_form``, ``inner``, span rank and the LP read it.
 
 Exact elimination, in ``int_rref`` and in the Phase-I LP of ``cones``, takes
 one fraction-free step on integer rows, ``pivot`` (Edmonds, J. Res. NBS 71B,
@@ -148,11 +147,6 @@ def basis_e(n: int, i: int, j: int) -> SymMat:
     return SymMat(n, tuple(coords))
 
 
-def _doubled(coords, n: int) -> list:
-    """coords with the off-diagonal entries, those after the n-th, doubled."""
-    return [c if k < n else 2 * c for k, c in enumerate(coords)]
-
-
 def _exact(v) -> list:
     """The entries of v as ints and Fractions; floats and bools are refused."""
     return [x if type(x) is int else _rational(x, "vector entries") for x in v]
@@ -190,8 +184,10 @@ def inner(a: SymMat, b: SymMat) -> Rat:
     """Trace inner product sum_ij a_ij b_ij (off-diagonals count twice)."""
     if a.n != b.n:
         raise ValueError("size mismatch")
-    (ai, da), (bi, db) = a._ints, b._ints
-    return Fraction(sum(map(mul, ai, _doubled(bi, a.n))), da * db)
+    (ai, da), (bi, db), n = a._ints, b._ints, a.n
+    # the off-diagonal coordinates, those after the n-th, count twice
+    return Fraction(sum(map(mul, ai, bi)) + sum(map(mul, ai[n:], bi[n:])),
+                    da * db)
 
 
 def rank_one(v: Sequence[int]) -> SymMat:
@@ -245,8 +241,7 @@ def inertia(q: SymMat) -> Inertia:
 
 def _int_form(b: SymMat) -> tuple[list[list[int]], int]:
     """Integer matrix den*B together with the denominator den > 0."""
-    ints, den = b._ints
-    n = b.n
+    (ints, den), n = b._ints, b.n
     return [[ints[coord_index(n, min(i, j), max(i, j))] for j in range(n)]
             for i in range(n)], den
 

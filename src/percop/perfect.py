@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import ConeVRep
+from .cones import ConeVRep, pairing_coeffs
 from .cop import Copositive, MinResult, NotCopositive, copositive_min
-from .core import (Rat, SymMat, _doubled, _fraction_to_str, _rational, dim_sym,
-                   inertia, inner, int_rref, mat_to_json, primitive, rank_one,
+from .core import (Rat, SymMat, _fraction_to_str, _rational, dim_sym, inertia,
+                   inner, int_rref, mat_to_json, primitive, rank_one,
                    span_rank_of_vectors)
 from .errors import NotCopositiveError, PreconditionError
 
@@ -98,7 +98,7 @@ def recover_from_minvecs(vectors, value: Rat):
         raise PreconditionError("empty-vector",
                                 "minimal vectors must have length >= 1")
     D = dim_sym(n)
-    rows = [primitive(_doubled(rank_one(v)._ints[0], n) + [value])
+    rows = [primitive(pairing_coeffs(rank_one(v)) + (value,))
             for v in vectors]
     m, pivots = int_rref(rows, D + 1)
     if pivots and pivots[-1] == D:

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from percop.core import (SymMat, basis_e, identity, inertia, inner, rank_one,
-                         span_rank, dim_sym)
+from percop.core import (SymMat, basis_e, identity, inertia, inner, quad_form,
+                         rank_one, span_rank, dim_sym)
 from percop.errors import PreconditionError
 from percop.families import fixtures, p_k, q_an
 from percop.perfect import (Imperfect, PerfectCertificate, Underdetermined,
@@ -90,6 +90,15 @@ def test_recover_refuses_an_inexact_value():
             recover_from_minvecs(((1, 0), (0, 1), (1, 1)), value)
     got = recover_from_minvecs(((1, 0), (0, 1), (1, 1)), "1/10")
     assert got == SymMat.from_rows([[2, -1], [-1, 2]]).scale(Fraction(1, 20))
+
+
+def test_recover_from_rational_vectors():
+    # each row pairs v v^T with the value, so Q[v] is the value also for a
+    # rational v; (1/2, 0) forces q11 = 4
+    vectors = ((Fraction(1, 2), 0), (0, 1), (1, 1))
+    got = recover_from_minvecs(vectors, 1)
+    assert got == SymMat.from_rows([[4, -2], [-2, 1]])
+    assert all(quad_form(got, v) == 1 for v in vectors)
 
 
 def test_recover_refuses_zero_length_vectors():
