@@ -18,8 +18,8 @@ from .perfect import (ComponentLabel, Imperfect, PerfectCertificate,
                       Underdetermined, classify_component,
                       is_perfect_copositive, normalized_to_min_one,
                       recover_from_minvecs, voronoi_cone)
-from .walk import (GraphNode, Neighbor, PolyhedronRay, UndecidedDirection,
-                   WalkGraph, contiguous_perfect, graph_to_dot, graph_to_json,
+from .walk import (GraphNode, Neighbor, PolyhedronRay, WalkGraph,
+                   contiguous_perfect, graph_to_dot, graph_to_json,
                    neighbors_all, perm_canonical, traverse)
 
 __version__ = "0.1.0"
@@ -30,8 +30,8 @@ __all__ = [
     "Imperfect", "Inconclusive", "Inertia", "LiftWitness", "MinResult",
     "Neighbor", "NonnegCombination", "NotCopositive", "NotCopositiveError",
     "NotCp", "PercopError", "PerfectCertificate", "PolyhedronRay",
-    "PreconditionError", "StrictlyCopositive", "SymMat", "UndecidedDirection",
-    "Underdetermined", "WalkGraph", "WalkUndecidedError",
+    "PreconditionError", "StrictlyCopositive", "SymMat", "Underdetermined",
+    "WalkGraph", "WalkUndecidedError",
     "certify_copositive", "classical_min", "classify_component",
     "contiguous_perfect", "copositive_min", "cp_certify", "dim_sym",
     "embed_classical", "enumerate_below", "extreme_rays", "fixture_matrix",

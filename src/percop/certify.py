@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import ConeHRep, NonnegCombination, extreme_rays, lp_nonneg_solve
+from .cones import NonnegCombination, lp_nonneg_solve
 from .core import Rat, SymMat, inner, mat_to_json, rank_one, _fraction_to_str
 from .errors import PreconditionError, WalkUndecidedError
 from .families import q_an
 from .perfect import is_perfect_copositive
-from .walk import Neighbor, PolyhedronRay, contiguous_perfect, matrix_key
+from .walk import (Neighbor, PolyhedronRay, _descent_directions,
+                   contiguous_perfect, matrix_key)
 
 DEFAULT_STEP_BUDGET = 10_000
 
@@ -53,10 +54,10 @@ def cp_certify(q: SymMat,
                step_budget: int = DEFAULT_STEP_BUDGET) -> CpVerdict:
     """Decide complete positivity where the walk terminates.
 
-    Directions whose walk ends in a polyhedron ray or stays undecided are
-    skipped in favor of the next-most-negative one; a vertex with no usable
-    descent direction, an exhausted budget, or a revisited matrix ends the
-    walk as Inconclusive.
+    Directions whose walk step ends in a polyhedron ray or raises
+    WalkUndecidedError are skipped in favor of the next-most-negative one;
+    a vertex with no usable descent direction, an exhausted budget, or a
+    revisited matrix ends the walk as Inconclusive.
     """
     if not q.has_nonneg_entries():
         raise PreconditionError(
@@ -80,9 +81,8 @@ def cp_certify(q: SymMat,
             pairs = tuple((a, v) for a, v in
                           zip(outcome.coefficients, cert.min_vectors) if a > 0)
             return Factorization(pairs)
-        vrep = extreme_rays(ConeHRep(q.n,
-                                     tuple(generators)))
-        values = [(inner(r, q), r) for r in vrep.rays]
+        values = [(inner(r, q), r)
+                  for r in _descent_directions(cert, generators)]
         candidates = sorted((t for t in values if t[0] < 0),
                             key=lambda t: (t[0], t[1].coords))
         moved = False

@@ -3,8 +3,9 @@
 All output is JSON on stdout with sorted keys, so identical inputs give
 byte-identical bytes.  Exit codes: 0 success, 1 malformed input, 2
 precondition violation (with a machine-readable reason), 3 negative
-certificate from `certify`, 4 an inconclusive `certify` or an unresolved
-walk step.  A path of `-` reads the matrix from stdin.
+certificate from `certify`, 4 an inconclusive `certify` or a `neighbors`
+step left unresolved (`walk` counts such a step as frontier-undecided and
+`certify` skips it).  A path of `-` reads the matrix from stdin.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import NotCopositiveError, PreconditionError, WalkUndecidedError
 from .families import LiftWitness, embed_classical, fixture_matrix, lift
 from .perfect import (certificate_to_json, classify_component,
                       is_perfect_copositive)
-from .walk import (Neighbor, PolyhedronRay, UndecidedDirection, graph_to_dot,
-                   graph_to_json, neighbors_all, perm_canonical, traverse)
+from .walk import (Neighbor, graph_to_dot, graph_to_json, neighbors_all,
+                   perm_canonical, traverse)
 
 
 def _emit(obj) -> None:
@@ -59,11 +60,7 @@ def _step_json(step) -> dict:
         return {"kind": "neighbor", "matrix": mat_to_json(step.matrix),
                 "lambda": _fraction_to_str(step.lam),
                 "new_vectors": [list(v) for v in step.new_vectors]}
-    if isinstance(step, PolyhedronRay):
-        return {"kind": "ray", "direction": mat_to_json(step.direction)}
-    assert isinstance(step, UndecidedDirection)
-    return {"kind": "undecided", "direction": mat_to_json(step.direction),
-            "lambda": _fraction_to_str(step.lam)}
+    return {"kind": "ray", "direction": mat_to_json(step.direction)}
 
 
 def _cmd_copmin(args) -> int:

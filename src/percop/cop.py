@@ -233,13 +233,9 @@ def _enumerate_scaled(bi, cnum, cden, radius, mus, least=False):
             return cden * (b * val + 2 * b * lmin * s + a * s * s) <= b * cnum
 
         if a > 0:
-            cands = {0, budget}
-            if lmin < 0:
-                vertex = (-b * lmin) // a
-                for s in (vertex, vertex + 1):
-                    if 0 < s < budget:
-                        cands.add(s)
-            if not any(feasible(s) for s in cands):
+            # the convex underestimate is least on [0, budget] at s or s + 1
+            s = min(max(0, (-b * lmin) // a), budget)
+            if not (feasible(s) or s < budget and feasible(s + 1)):
                 return
         row = bi[k]
         diag = row[k]

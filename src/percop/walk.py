@@ -58,15 +58,7 @@ class PolyhedronRay:
     direction: SymMat
 
 
-@dataclass(frozen=True)
-class UndecidedDirection:
-    """Partial result when a single direction could not be resolved."""
-
-    direction: SymMat
-    lam: Rat
-
-
-WalkStep = Neighbor | PolyhedronRay | UndecidedDirection
+WalkStep = Neighbor | PolyhedronRay
 
 
 def kernel_zero(q: SymMat):
@@ -144,29 +136,33 @@ def contiguous_perfect(cert: PerfectCertificate, r: SymMat) -> WalkStep:
         lam *= 2
 
 
+def _descent_directions(cert: PerfectCertificate, normals=None):
+    """Extreme rays, sorted, of the dual Voronoi cone of a perfect matrix.
+
+    normals, when given, are the rank-one forms of cert.min_vectors.
+    """
+    if normals is None:
+        normals = [rank_one(v) for v in cert.min_vectors]
+    vrep = extreme_rays(ConeHRep(cert.matrix.n, tuple(normals)))
+    if vrep.lineality:
+        raise RuntimeError("dual Voronoi cone of a perfect matrix "
+                           "must be pointed")
+    return vrep.rays
+
+
 def neighbors_all(cert: PerfectCertificate) -> tuple[WalkStep, ...]:
     """One WalkStep per extreme ray of the dual Voronoi cone, sorted order.
 
-    Directions that fail to resolve come back as UndecidedDirection entries
-    instead of aborting the whole neighborhood.
+    A direction that does not resolve raises WalkUndecidedError, which
+    ends the whole neighborhood.
     """
     if cert.min_value != 1:
         raise PreconditionError(
             "not-normalized",
             "walk requires copositive minimum 1, certificate has %s"
             % cert.min_value)
-    normals = tuple(rank_one(v) for v in cert.min_vectors)
-    vrep = extreme_rays(ConeHRep(cert.matrix.n, normals))
-    if vrep.lineality:
-        raise RuntimeError("dual Voronoi cone of a perfect matrix "
-                           "must be pointed")
-    steps = []
-    for direction in vrep.rays:
-        try:
-            steps.append(contiguous_perfect(cert, direction))
-        except WalkUndecidedError as exc:
-            steps.append(UndecidedDirection(direction, exc.lam))
-    return tuple(steps)
+    return tuple(contiguous_perfect(cert, direction)
+                 for direction in _descent_directions(cert))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +230,8 @@ def traverse(start: SymMat, node_budget: int) -> WalkGraph:
     """BFS over permutation-canonical vertices, expanding up to node_budget.
 
     Ray directions count on the node itself (self-loops in the export), and
-    unresolved directions are recorded as frontier-undecided without
-    stopping the traversal.
+    a direction whose step raises WalkUndecidedError is counted as
+    frontier-undecided without stopping the traversal.
     """
     if node_budget < 0:
         raise PreconditionError("bad-budget", "node budget must be >= 0")
@@ -254,25 +250,26 @@ def traverse(start: SymMat, node_budget: int) -> WalkGraph:
     key, cert = _canonical_certificate(res)
     reps = {key: {matrix_key(start)}}
     queue = deque([(key, cert)])
-    enqueued = {key}
     expanded = {}
     while queue and len(expanded) < node_budget:
         key, cert = queue.popleft()
         edges = []
         rays = 0
         undecided = 0
-        for step in neighbors_all(cert):
+        for direction in _descent_directions(cert):
+            try:
+                step = contiguous_perfect(cert, direction)
+            except WalkUndecidedError:
+                undecided += 1
+                continue
             if isinstance(step, PolyhedronRay):
                 rays += 1
-            elif isinstance(step, UndecidedDirection):
-                undecided += 1
-            else:
-                nkey, ncert = _canonical_certificate(step.certificate)
-                reps.setdefault(nkey, set()).add(matrix_key(step.matrix))
-                edges.append(nkey)
-                if nkey not in enqueued:
-                    enqueued.add(nkey)
-                    queue.append((nkey, ncert))
+                continue
+            nkey, ncert = _canonical_certificate(step.certificate)
+            if nkey not in reps:
+                queue.append((nkey, ncert))
+            reps.setdefault(nkey, set()).add(matrix_key(step.matrix))
+            edges.append(nkey)
         expanded[key] = (cert.matrix, tuple(sorted(edges)), rays, undecided)
     nodes = {}
     for key, (canonical, edges, rays, undecided) in expanded.items():

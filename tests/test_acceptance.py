@@ -10,8 +10,6 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt
 
-import pytest
-
 from percop.certify import Factorization, NotCp, cp_certify
 from percop.cop import (NotCopositive, StrictlyCopositive, classical_min,
                         copositive_min, enumerate_below)
@@ -136,7 +134,6 @@ def _shrink_witness(w):
     return SymMat.from_rows(rows)
 
 
-@pytest.mark.slow
 def test_criterion_05_lifting():
     base = SymMat.from_rows([[6, -3], [-3, 2]])
     lifted = lift(base, LiftWitness(base, (1, 2)))
@@ -324,7 +321,6 @@ def test_criterion_10_ray_recession():
                         assert copositive_min(shifted).min_value >= 1
 
 
-@pytest.mark.slow
 def test_criterion_11_cp_certification():
     rng = random.Random(103)
     for _ in range(25):

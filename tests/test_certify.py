@@ -90,7 +90,6 @@ def test_precondition_errors():
     assert exc.value.reason == "bad-budget"
 
 
-@pytest.mark.slow
 def test_not_cp_for_dnn_fixture():
     """The doubly nonnegative 5x5 fixture sits outside the CP cone; the walk
     must find a separating perfect copositive matrix."""
@@ -100,6 +99,13 @@ def test_not_cp_for_dnn_fixture():
     assert out.value < 0
     assert inner(out.certificate, fx.Q_dnn) == out.value
     assert is_perfect_copositive(out.certificate)
+
+
+def test_unresolved_direction_is_skipped(monkeypatch):
+    # with no halving allowed the second vertex has no usable direction
+    monkeypatch.setattr("percop.walk.BISECT_LIMIT", 0)
+    out = cp_certify(fixtures().Q_dnn)
+    assert out == Inconclusive(steps_used=1, reason="no-descent-direction")
 
 
 def test_json_shapes():

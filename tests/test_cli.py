@@ -75,6 +75,14 @@ def test_neighbors_requires_normalization(tmp_path, capsys):
     assert body["reason"] == "not-normalized"
 
 
+def test_neighbors_unresolved_step_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("percop.walk.BISECT_LIMIT", 0)
+    path = _write(tmp_path, "half.json", q_an(3).scale(Fraction(1, 2)))
+    code, body = _run(capsys, ["neighbors", path])
+    assert code == 4
+    assert body == {"error": "walk-undecided", "lambda": "1"}
+
+
 def test_walk_with_dot_export(tmp_path, capsys):
     path = _write(tmp_path, "half.json", q_an(2).scale(Fraction(1, 2)))
     dot_path = tmp_path / "graph.dot"

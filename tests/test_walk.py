@@ -11,9 +11,10 @@ import pytest
 from percop import walk
 from percop.cop import _survey_below
 from percop.core import SymMat, basis_e, identity, quad_form
-from percop.errors import PreconditionError
+from percop.errors import PreconditionError, WalkUndecidedError
 from percop.families import fixtures, p_k, q_an
-from percop.perfect import is_perfect_copositive, normalized_to_min_one
+from percop.perfect import (PerfectCertificate, is_perfect_copositive,
+                            normalized_to_min_one)
 from percop.walk import (Neighbor, PolyhedronRay, contiguous_perfect,
                          graph_to_dot, graph_to_json, kernel_zero,
                          matrix_key, neighbors_all, perm_canonical, traverse)
@@ -157,7 +158,6 @@ def test_every_order_of_a_vertex_is_decided(vertex, neighbours):
     for perm in permutations(range(3)):
         q = walk._permuted(vertex, perm)
         kinds = [type(s).__name__ for s in neighbors_all(_half_cert(q))]
-        assert kinds.count("UndecidedDirection") == 0
         assert kinds.count("Neighbor") == neighbours
         assert kinds.count("PolyhedronRay") == 1
 
@@ -271,7 +271,6 @@ def test_a3_neighborhood_shape():
     kinds = [type(s).__name__ for s in steps]
     assert kinds.count("Neighbor") == 5
     assert kinds.count("PolyhedronRay") == 1
-    assert kinds.count("UndecidedDirection") == 0
     ray = next(s for s in steps if isinstance(s, PolyhedronRay))
     assert ray.direction.coords == basis_e(3, 0, 2).coords
 
@@ -411,3 +410,26 @@ def test_dot_marks_unexpanded_frontier():
     graph = traverse(q_an(3).scale(Fraction(1, 2)), 1)
     dot = graph_to_dot(graph)
     assert "frontier" in dot
+
+
+def test_unresolved_step_raises_from_neighbors_all(monkeypatch):
+    # with no halving allowed, two directions of (1/2)Q_A3 stay unresolved
+    monkeypatch.setattr(walk, "BISECT_LIMIT", 0)
+    with pytest.raises(WalkUndecidedError) as exc:
+        neighbors_all(_half_cert(q_an(3)))
+    assert exc.value.lam == 1
+
+
+def test_traverse_counts_unresolved_steps_as_frontier_undecided(monkeypatch):
+    monkeypatch.setattr(walk, "BISECT_LIMIT", 0)
+    graph = traverse(q_an(3).scale(Fraction(1, 2)), 1)
+    [node] = graph.nodes.values()
+    assert (len(node.edges), node.rays, node.undecided) == (3, 1, 2)
+    assert "frontier-undecided" in graph_to_dot(graph)
+
+
+def test_descent_directions_refuse_a_cone_with_lineality():
+    # e1 e1^T and e2 e2^T leave the off-diagonal coordinate free
+    cert = PerfectCertificate(identity(2), Fraction(1), ((0, 1), (1, 0)), 2)
+    with pytest.raises(RuntimeError):
+        walk._descent_directions(cert)
