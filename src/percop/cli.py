@@ -14,7 +14,8 @@ import argparse
 import json
 import sys
 
-from .certify import cp_certify, cp_to_json, Factorization, NotCp
+from .certify import (DEFAULT_STEP_BUDGET, cp_certify, cp_to_json,
+                      Factorization, NotCp)
 from .cop import NotCopositive, copositive_min, minresult_to_json
 from .core import SymMat, mat_loads, mat_to_json, _fraction_to_str
 from .errors import NotCopositiveError, PreconditionError, WalkUndecidedError
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="CP factorization or counterexample")
     p.add_argument("matrix")
-    p.add_argument("--budget", type=int, default=10_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET,
                    help="walk step budget")
     p.set_defaults(func=_cmd_certify)
 

@@ -7,9 +7,9 @@ inner(A, .) >= 0; in coordinates that is the dot product with the vector
 product throughout.
 
 extreme_rays is an incremental double description on primitive integer
-rays: the independent normals give the lineality (their nullspace) and a
-simplicial start cone, each further inequality splits the current rays, and
-adjacent positive and negative rays are combined.  Adjacency is the exact
+rays: one nullspace of [B | -I], B the independent normals, gives the
+lineality and a simplicial start cone, each further inequality splits the
+current rays, and adjacent positive and negative rays are combined.  Adjacency is the exact
 algebraic test: the common tight normals must have rank D - lineality - 2.
 """
 
@@ -80,20 +80,16 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
         (primitive(pairing_coeffs(a)) for a in cone.normals),
         key=lambda c: (sum(1 for x in c if x == 0), c))
     basis = int_rref(list(zip(*coeffs)), len(coeffs))[1]
-    B = [list(coeffs[b]) for b in basis]
-    # start ray i solves B x = e_i and is zero on the free columns: column
-    # D + i of the rref of [B | I], over the common pivot value
-    m, pivots = int_rref([row + [int(j == i) for j in range(len(B))]
-                          for i, row in enumerate(B)], D + len(B))
+    # the kernel of [B | -I] holds (x, y) with B x = y: first the lineality
+    # (y = 0), then start ray i (y a positive multiple of e_i), each zero on
+    # the free columns of B; x is primitive as B is integral
+    kernel = nullspace([list(coeffs[b]) + [-int(c == b) for c in basis]
+                        for b in basis], D + len(basis))
+    lin = len(kernel) - len(basis)
     full = sum(1 << b for b in basis)
-    rays = []  # (primitive vector, bitmask of tight processed normals)
-    for i, b in enumerate(basis):
-        vec = [0] * D
-        for row, c in zip(m, pivots):
-            vec[c] = row[D + i]
-        rays.append((primitive(vec if m[0][pivots[0]] > 0
-                               else [-x for x in vec]), full & ~(1 << b)))
-    need = len(B) - 2
+    # (primitive vector, bitmask of tight processed normals)
+    rays = [(x[:D], full & ~(1 << b)) for x, b in zip(kernel[lin:], basis)]
+    need = len(basis) - 2
     for idx in sorted(set(range(len(coeffs))) - set(basis)):
         a = coeffs[idx]
         pos, zer, neg = [], [], []
@@ -119,7 +115,7 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
                      common | (1 << idx)))
         rays = [(r, mask) for r, mask, _ in pos] + zer + combos
     rays = sorted(r for r, _ in rays)
-    lineality = sorted(_sign_fixed(l) for l in nullspace(B, D))
+    lineality = sorted(_sign_fixed(l[:D]) for l in kernel[:lin])
     return ConeVRep(tuple(SymMat(cone.n, r) for r in rays),
                     tuple(SymMat(cone.n, l) for l in lineality))
 

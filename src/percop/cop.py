@@ -5,22 +5,24 @@ everything: B is strictly copositive when mu > 0, copositive when mu >= 0,
 and a minimiser is a witness otherwise.  mu is attained at a minimiser x of
 least support S, and there B_S x_S = mu 1 with x_S > 0.  A kernel vector d
 of B_S with 1^T d = 0 would keep the value along x + t d and shrink the
-support, so B_S is nonsingular, and x_S = y/(1^T y) with y = B_S^-1 1
-one-signed and mu = 1/(1^T y); or B_S is singular, mu = 0 and the kernel of
-B_S is spanned by the positive x_S (Cottle, Habetler and Lemke, Linear
-Algebra Appl. 3, 1970; Bomze, J. Global Optim. 13, 1998).  One integer
-elimination of [B_S | 1] per support S therefore finds mu exactly, and a
-rational minimiser with it, for every rational B: there is no depth limit
-and no budget, and a copositive matrix that is not strictly copositive
-always has a rational zero.  The same pass gives the minimum over every
-trailing face x_0 = ... = x_{k-1} = 0.  It walks all 2^n - 1 supports, so
-its cost doubles with each dimension: one pass takes about 0.6 ms at n = 5,
-6 ms at n = 7 and 70 ms at n = 10 (CPython 3.11, one core of a shared
-2-vCPU host), the largest n the library supports; n = 12 takes 0.4 s.
+support, so B_S is nonsingular and x_S is proportional to B_S^-1 1; or B_S
+is singular, mu = 0 and the kernel of B_S is spanned by the positive x_S
+(Cottle, Habetler and Lemke, Linear Algebra Appl. 3, 1970; Bomze, J. Global
+Optim. 13, 1998).  Either way the kernel of [B_S | 1] is one vector (y, t),
+with B_S y = -t 1 and y one-signed, and then x_S = y/(1^T y) and
+mu = -t/(1^T y).  One integer nullspace of [B_S | 1] per support S
+therefore finds mu exactly, and a rational minimiser with it, for every
+rational B: there is no depth limit and no budget, and a copositive matrix
+that is not strictly copositive always has a rational zero.  The pass
+walks all 2^n - 1 supports, so its cost doubles with each dimension: it
+takes about 0.5 ms at n = 5, 3 ms at n = 7 and 40 ms at n = 10 (CPython
+3.11, one core of a shared 2-vCPU host), the largest n the library
+supports; n = 12 takes 0.25 s.
 
 Minimal-vector enumeration turns mu into the search radius
 |v|_1 <= sqrt(c/mu) via B[v] = |v|_1^2 * B[v/|v|_1] and walks the
-coordinates depth first.  The trailing-face minima prune subtrees; the
+coordinates depth first.  mu bounds the form on every trailing face
+x_0 = ... = x_{k-1} = 0 too, so it prunes the subtrees of every level; the
 innermost coordinate is resolved by an exact integer interval instead of a
 scan, and the one before it is limited to the exact interval on which the
 last two coordinates together can stay below c (when their 2x2 block is
@@ -42,7 +44,7 @@ from math import isqrt
 from typing import Union
 
 from .core import (Rat, SymMat, _fraction_to_str, _int_form, _rational,
-                   inertia, int_rref, nullspace, primitive, quad_form)
+                   inertia, nullspace, primitive, quad_form)
 from .errors import NotCopositiveError, PreconditionError
 
 
@@ -85,53 +87,40 @@ def minresult_to_json(result: MinResult) -> dict:
 # the exact simplex minimum
 
 def _bnb(bi):
-    """(mu, x, faces): the minimum of x^T bi x over the standard simplex.
+    """(mu, x): the minimum of x^T bi x over the standard simplex.
 
     x is a minimiser of least support, as a tuple of Fractions summing to
-    1, and faces[k] is the minimum over the trailing face
-    x_0 = ... = x_{k-1} = 0, so faces[0] = mu.  Each support S is tried by
-    one int_rref of [bi_S | 1] (see the module docstring).  Bit j of a
-    support's mask stands for coordinate n-1-j, so the supports of the
-    trailing face k are the masks below 2^(n-k) and faces[k] is the running
-    minimum once they are done; ties go to the smaller support, then to the
-    lower mask.  The name is that of the simplex partition this kernel
+    1.  Each support S is tried by one nullspace of [bi_S | 1] (see the
+    module docstring): when it is a single vector (y, t) with y one-signed,
+    S gives the value -t/(1^T y) at y/(1^T y).  Bit j of a support's mask
+    stands for coordinate n-1-j; ties go to the smaller support, then to
+    the lower mask.  The name is that of the simplex partition this kernel
     replaced, under which the benchmark's tracer times it.
     """
     n = len(bi)
-    best = None  # (value, support size, support, numerators, denominator)
-    faces = [None] * n
+    best = None  # (value, support size, support, y, 1^T y)
     for mask in range(1, 1 << n):
         sup = [i for i in range(n) if mask >> (n - 1 - i) & 1]
         k = len(sup)
-        rows = [[bi[i][j] for j in sup] for i in sup]
-        m, pivots = int_rref([row + [1] for row in rows], k + 1)
-        cand = None
-        if len(pivots) == k and pivots[-1] == k - 1:
-            # y = bi_S^-1 1 = ys/d with d = m[0][0]; one-signed y gives the
-            # value 1/(1^T y) = d/sum(ys) at y/(1^T y)
-            ys = [row[k] for row in m]
-            tot = sum(ys)
-            if all(y * tot > 0 for y in ys):
-                cand = (Fraction(m[0][0], tot), k, sup, ys, tot)
-        else:
-            kernel = nullspace(rows, k)
-            # a basis vector is positive at its free column
-            if len(kernel) == 1 and min(kernel[0]) > 0:
-                cand = (Fraction(0), k, sup, kernel[0], sum(kernel[0]))
-        if cand is not None and (best is None or cand[:2] < best[:2]):
-            best = cand
-        if mask & (mask + 1) == 0:
-            faces[n - mask.bit_length()] = best[0]
-    mu, _, sup, num, tot = best
+        ker = nullspace([[bi[i][j] for j in sup] + [1] for i in sup], k + 1)
+        if len(ker) != 1:
+            continue
+        *y, t = ker[0]
+        tot = sum(y)
+        if all(u * tot > 0 for u in y):
+            cand = (Fraction(-t, tot), k, sup, y, tot)
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+    mu, _, sup, y, tot = best
     x = [Fraction(0)] * n
-    for i, t in zip(sup, num):
-        x[i] = Fraction(t, tot)
-    return mu, tuple(x), faces
+    for i, u in zip(sup, y):
+        x[i] = Fraction(u, tot)
+    return mu, tuple(x)
 
 
 def _decide(b: SymMat, strict: bool) -> CopVerdict:
     bi, den = _int_form(b)
-    mu, x, _ = _bnb(bi)
+    mu, x = _bnb(bi)
     if mu < 0:
         return NotCopositive(x)
     if strict and mu > 0:
@@ -162,23 +151,23 @@ def certify_copositive(b: SymMat) -> CopVerdict:
 # enumeration
 
 def _suffix_bounds(kernel):
-    """The enumeration's pruning bounds: the trailing-face minima of _bnb.
+    """The enumeration's pruning bound: the simplex minimum mu of _bnb.
 
-    Entry k is the exact minimum of the form on coordinates k..n-1.  The
-    name is that of the per-face partition runs these minima replaced,
-    under which the benchmark's tracer times this step.
+    The name, under which the benchmark's tracer times this step, is that
+    of the per-face bounds mu replaced.
     """
-    return kernel[2]
+    return kernel[0]
 
 
-def _enumerate_scaled(bi, cnum, cden, radius, mus, least=False):
+def _enumerate_scaled(bi, cnum, cden, radius, mu, least=False):
     """All nonzero v >= 0 with v^T bi v <= cnum/cden and |v|_1 <= radius.
 
-    With least=True the threshold is a cap and only the least value below it
-    is kept: each vector found below the cap lowers the cap to its value,
-    drops the vectors kept so far and shrinks the radius to
-    sqrt(cap/mus[0]) (mus[0] must be the simplex minimum the radius came
-    from), and the search goes on from that vector within the new radius.
+    mu > 0 is the simplex minimum of bi, which bounds the form on every
+    trailing face and so prunes every level.  With least=True the threshold
+    is a cap and only the least value below it is kept: each vector found
+    below the cap lowers the cap to its value, drops the vectors kept so far
+    and shrinks the radius to sqrt(cap/mu), and the search goes on from
+    that vector within the new radius.
     Returns (least value, its vectors) in that mode; the vectors found in
     search order otherwise.
     """
@@ -192,6 +181,7 @@ def _enumerate_scaled(bi, cnum, cden, radius, mus, least=False):
     # interval is not empty, when the trailing 2x2 block is positive definite
     pen = last - 1
     pen_det = ann * bi[pen][pen] - bi[pen][last] ** 2 if n > 1 else 0
+    a, b = mu.numerator, mu.denominator
 
     def descend(k, used, val, lin, nonzero):
         # val = bi[prefix], used = |prefix|_1; lin[j-k] = (bi . prefix)_j
@@ -219,24 +209,22 @@ def _enumerate_scaled(bi, cnum, cden, radius, mus, least=False):
                             # this interval only needs the new dq
                             cnum, cden = w, 1
                             out.clear()
-                            rad = _radius(Fraction(w), mus[0])
+                            rad = _radius(Fraction(w), mu)
                             dq = lead * lead - ann * (val - w)
                     out.append(tuple(v))
             v[last] = 0
             return
         budget = rad - used
-        a, b = mus[k].numerator, mus[k].denominator
         lmin = min(lin)
 
         def feasible(s):
             # value of the convex underestimate val + 2*lmin*s + (a/b)*s^2
             return cden * (b * val + 2 * b * lmin * s + a * s * s) <= b * cnum
 
-        if a > 0:
-            # the convex underestimate is least on [0, budget] at s or s + 1
-            s = min(max(0, (-b * lmin) // a), budget)
-            if not (feasible(s) or s < budget and feasible(s + 1)):
-                return
+        # the convex underestimate is least on [0, budget] at s or s + 1
+        s = min(max(0, (-b * lmin) // a), budget)
+        if not (feasible(s) or s < budget and feasible(s + 1)):
+            return
         row = bi[k]
         diag = row[k]
         lo, hi = 0, budget
@@ -294,17 +282,17 @@ def enumerate_below(b: SymMat, c) -> tuple:
             "enumeration needs a strictly copositive matrix, its simplex "
             "minimum is %s" % (kernel[0] / den))
     c_scaled = c * den
+    mu = _suffix_bounds(kernel)
     found = _enumerate_scaled(bi, c_scaled.numerator, c_scaled.denominator,
-                              _radius(c_scaled, kernel[0]),
-                              _suffix_bounds(kernel))
+                              _radius(c_scaled, mu), mu)
     return tuple(sorted(found))
 
 
 def _least_below(bi, cap, kernel):
     """(least value <= cap, its vectors sorted); kernel = _bnb(bi), mu > 0."""
-    mus = _suffix_bounds(kernel)
+    mu = _suffix_bounds(kernel)
     best, found = _enumerate_scaled(bi, cap.numerator, cap.denominator,
-                                    _radius(cap, mus[0]), mus, least=True)
+                                    _radius(cap, mu), mu, least=True)
     return best, tuple(sorted(found))
 
 
@@ -346,7 +334,7 @@ def copositive_min(b: SymMat) -> MinResult:
     """
     bi, den = _int_form(b)
     kernel = _bnb(bi)
-    mu, x, _ = kernel
+    mu, x = kernel
     if mu < 0:
         raise NotCopositiveError(x)
     if mu == 0:

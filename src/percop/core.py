@@ -10,7 +10,11 @@ denominators) once; ``quad_form``, ``inner``, span rank and the LP read it.
 
 Exact elimination, in ``int_rref`` and in the Phase-I LP of ``cones``, takes
 one fraction-free step on integer rows, ``pivot`` (Edmonds, J. Res. NBS 71B,
-1967; Bareiss).
+1967; Bareiss).  Every exact solve is read off ``nullspace`` of one
+augmented integer matrix: the simplex minimum on a support, the start cone
+and lineality of the double description, the recovery of a matrix from its
+minimal vectors and the embedding's inverse.  Elsewhere only the pivot
+list of ``int_rref`` is read, for ranks and independent rows.
 """
 
 from __future__ import annotations
@@ -312,7 +316,8 @@ def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
         vec[f] = d
         for row, c in zip(m, pivots):
             vec[c] = -row[f]
-        basis.append(primitive(vec if d > 0 else [-x for x in vec]))
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
     return basis
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cop import classical_below, classical_min, copositive_min
-from .core import (SymMat, dim_sym, inertia, int_rref, quad_form,
+from .core import (SymMat, dim_sym, inertia, nullspace, quad_form,
                    span_rank_of_vectors)
 from .errors import PreconditionError
 from .perfect import is_perfect_copositive
@@ -123,11 +123,15 @@ def minkowski_reduced_check(q: SymMat) -> bool:
 
 
 def _invert_unitriangular(l: list[list[int]]) -> list[list[int]]:
-    """L^-1 from the reduced [L | I]: every pivot of L is 1."""
+    """L^-1 for an integer L of determinant +-1.
+
+    Column i of L^-1 is x in the kernel vector (x, e_i) of [L | -I]: L^-1
+    is integral, so that vector is the primitive one.
+    """
     n = len(l)
-    m, _ = int_rref([row + [int(i == j) for j in range(n)]
-                     for i, row in enumerate(l)], 2 * n)
-    return [row[n:] for row in m]
+    kernel = nullspace([row + [-int(i == j) for j in range(n)]
+                        for i, row in enumerate(l)], 2 * n)
+    return [list(row) for row in zip(*(x[:n] for x in kernel))]
 
 
 def embed_classical(q: SymMat) -> EmbeddingResult:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cones import ConeVRep, pairing_coeffs
 from .cop import Copositive, MinResult, NotCopositive, copositive_min
 from .core import (Rat, SymMat, _fraction_to_str, _rational, dim_sym, inertia,
-                   inner, int_rref, mat_to_json, primitive, rank_one,
+                   inner, mat_to_json, nullspace, primitive, rank_one,
                    span_rank_of_vectors)
 from .errors import NotCopositiveError, PreconditionError
 
@@ -98,17 +98,19 @@ def recover_from_minvecs(vectors, value: Rat):
         raise PreconditionError("empty-vector",
                                 "minimal vectors must have length >= 1")
     D = dim_sym(n)
-    rows = [primitive(pairing_coeffs(rank_one(v)) + (value,))
-            for v in vectors]
-    m, pivots = int_rref(rows, D + 1)
-    if pivots and pivots[-1] == D:
+    # the kernel of [A | -value] holds (x, t) with A x = t*value; t is 0 on
+    # every vector but that of the -value column, the last, when that column
+    # is free, which is exactly when the system is consistent
+    kernel = nullspace([primitive(pairing_coeffs(rank_one(v)) + (-value,))
+                        for v in vectors], D + 1)
+    if not kernel or not kernel[-1][D]:
         raise PreconditionError(
             "inconsistent-minima",
             "no symmetric matrix attains the value on all vectors")
-    if len(pivots) < D:
-        return Underdetermined(D - len(pivots))
-    d = m[0][0]
-    return SymMat(n, tuple(Fraction(row[D], d) for row in m[:D]))
+    if len(kernel) > 1:
+        return Underdetermined(len(kernel) - 1)
+    *x, t = kernel[0]
+    return SymMat(n, tuple(Fraction(c, t) for c in x))
 
 
 def voronoi_cone(cert: PerfectCertificate) -> ConeVRep:

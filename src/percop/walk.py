@@ -68,7 +68,7 @@ def kernel_zero(q: SymMat):
     the lattice point of the least-support minimiser of cop._bnb.  Nothing
     in percop calls it; perfbench's tracer times it by this name.
     """
-    mu, x, _ = _bnb(_int_form(q)[0])
+    mu, x = _bnb(_int_form(q)[0])
     return primitive(x) if mu == 0 else None
 
 

@@ -100,14 +100,18 @@ _KERNEL_PINS = [
     (_WALK_REFUTED, Fraction(-6, 37), (0, 15, 22)),
     ([[7, 0, -4], [0, 1, -2], [-4, -2, 4]], Fraction(-16, 71), (12, 34, 25)),
     ([[2, -1, -2], [-1, 2, -2], [-2, -2, 8]], Fraction(0), (2, 2, 1)),
+    # a singular support whose kernel has dimension 2
+    ([[0, 0], [0, 0]], Fraction(0), (0, 1)),
+    # 1 lies in the column space of the singular support {0, 1}
+    ([[1, 1], [1, 1]], Fraction(1), (0, 1)),
 ]
 
 
 @pytest.mark.parametrize("m,mu,x", _KERNEL_PINS)
 def test_kernel_pinned_minima(m, mu, x):
     bi, den = (m, 1) if isinstance(m, list) else _int_form(m)
-    got_mu, got_x, faces = _bnb(bi)
-    assert got_mu / den == mu and faces[0] == got_mu
+    got_mu, got_x = _bnb(bi)
+    assert got_mu / den == mu
     assert sum(got_x) == 1 and min(got_x) >= 0
     if x is not None:
         assert got_x == tuple(Fraction(t, sum(x)) for t in x)
@@ -131,9 +135,9 @@ def _integer_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(_integer_matrices())
 def test_kernel_minimum_against_box(rows):
-    # the minimiser attains mu, no lattice point of {0..4}^n lies below it
-    # on the simplex, and faces[k] is the minimum on coordinates k..n-1
-    mu, x, faces = _bnb(rows)
+    # the minimiser attains mu, and no lattice point of {0..4}^n lies below
+    # it on the simplex
+    mu, x = _bnb(rows)
     n = len(rows)
     assert min(x) >= 0 and sum(x) == 1
     assert quad_form(SymMat.from_rows(rows), x) == mu
@@ -141,7 +145,6 @@ def test_kernel_minimum_against_box(rows):
     for v in product(range(5), repeat=n):
         if any(v):
             assert quad_form(b, v) >= mu * sum(v) ** 2
-    assert faces == [_bnb([r[k:] for r in rows[k:]])[0] for k in range(n)]
 
 
 def test_random_n2_against_closed_form():
@@ -402,14 +405,14 @@ def test_least_enumeration_keeps_only_the_final_attainers(rows, cnum, cden):
     radius = _radius(cap, mu)
     falls = _cap_falls(b, cap, radius)
     assert len(falls) >= 2
-    best, found = _enumerate_scaled(rows, cnum, cden, radius, [mu] * b.n,
+    best, found = _enumerate_scaled(rows, cnum, cden, radius, mu,
                                     least=True)
     below = _box_brute_force(b, cap, mu)
     assert best == falls[-1]
     assert (best, tuple(sorted(found))) == _least_part(below, b)
     # the default mode keeps every vector below the cap
     assert tuple(sorted(_enumerate_scaled(rows, cnum, cden, radius,
-                                          [mu] * b.n))) == below
+                                          mu))) == below
 
 
 @st.composite
@@ -434,12 +437,12 @@ def _capped_cases(draw):
 @given(_capped_cases())
 def test_least_mode_keeps_the_least_part_of_the_default_mode(case):
     rows, mu, cap = case
-    mus = _suffix_bounds(_bnb(rows))
+    assert _suffix_bounds(_bnb(rows)) == mu
     radius = _radius(cap, mu)
     every = _enumerate_scaled(rows, cap.numerator, cap.denominator, radius,
-                              mus)
+                              mu)
     best, found = _enumerate_scaled(rows, cap.numerator, cap.denominator,
-                                    radius, mus, least=True)
+                                    radius, mu, least=True)
     assert (best, tuple(sorted(found))) == \
         _least_part(every, SymMat.from_rows(rows))
 

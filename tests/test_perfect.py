@@ -113,6 +113,18 @@ def test_recover_inconsistent():
     assert exc.value.reason == "inconsistent-minima"
 
 
+def test_recover_inconsistent_and_underdetermined():
+    # q11 = 1 and 4*q11 = 1 clash, and q22, q12 are free: inconsistency wins
+    with pytest.raises(PreconditionError) as exc:
+        recover_from_minvecs(((1, 0), (2, 0)), 1)
+    assert exc.value.reason == "inconsistent-minima"
+
+
+def test_recover_value_zero_is_the_zero_matrix():
+    got = recover_from_minvecs(((1, 0), (0, 1), (1, 1)), 0)
+    assert got == SymMat.from_rows([[0, 0], [0, 0]])
+
+
 def test_voronoi_cone_ray_counts():
     assert len(voronoi_cone(is_perfect_copositive(q_an(2))).rays) == 3
     assert len(voronoi_cone(is_perfect_copositive(q_an(3))).rays) == 6
