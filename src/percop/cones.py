@@ -9,8 +9,8 @@ product throughout.
 extreme_rays is an incremental double description on primitive integer
 rays: one nullspace of [B | -I], B the independent normals, gives the
 lineality and a simplicial start cone, each further inequality splits the
-current rays, and adjacent positive and negative rays are combined.  Adjacency is the exact
-algebraic test: the common tight normals must have rank D - lineality - 2.
+current rays, and two rays of opposite sign are combined iff no third ray is
+tight on every normal both are tight on (Fukuda and Prodon, 1996).
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class ConeVRep:
 
 def pairing_coeffs(a: SymMat) -> tuple[Rat, ...]:
     """Coordinate vector c with c . coords(B) = inner(A, B)."""
-    n = a.n
-    return tuple(a.coords[k] if k < n else 2 * a.coords[k]
-                 for k in range(dim_sym(n)))
+    ints, den = a._ints
+    return tuple(Fraction(x if k < a.n else 2 * x, den)
+                 for k, x in enumerate(ints))
 
 
 def _sign_fixed(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -72,8 +72,9 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
 
     Insertion order: normals sorted by increasing number of zero coordinates,
     ties lexicographic.  The normals independent of those before them form
-    the start cone; the rest follow in that order.  Output rays sorted by
-    coordinate vector.
+    the start cone; the rest follow in that order.  Adjacency reads only the
+    bitmasks of tight normals; it holds with a lineality too, as the rays
+    stay in a complement of it.  Output rays sorted by coordinate vector.
     """
     D = dim_sym(cone.n)
     coeffs = sorted(
@@ -103,16 +104,15 @@ def extreme_rays(cone: ConeHRep) -> ConeVRep:
                 zer.append((r, mask | (1 << idx)))
         combos = []
         for p, pmask, pv in pos:
+            # every ray tight on all that p and q share is near p
+            near = [m for _, m in rays if (m & pmask).bit_count() >= need]
             for q, qmask, qv in neg:
                 common = pmask & qmask
-                if common.bit_count() < need:
-                    continue
-                tight = [c for t, c in enumerate(coeffs) if (common >> t) & 1]
-                if len(int_rref(tight, D)[1]) != need:
-                    continue
-                combos.append(
-                    (primitive([pv * y - qv * x for x, y in zip(p, q)]),
-                     common | (1 << idx)))
+                if (common.bit_count() >= need
+                        and sum(m & common == common for m in near) == 2):
+                    combos.append(
+                        (primitive([pv * y - qv * x for x, y in zip(p, q)]),
+                         common | (1 << idx)))
         rays = [(r, mask) for r, mask, _ in pos] + zer + combos
     rays = sorted(r for r, _ in rays)
     lineality = sorted(_sign_fixed(l[:D]) for l in kernel[:lin])

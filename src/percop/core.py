@@ -82,7 +82,8 @@ class SymMat:
                 "expected %d coordinates for n=%d, got %d"
                 % (dim_sym(self.n), self.n, len(self.coords))
             )
-        if not all(isinstance(c, Fraction) for c in self.coords):
+        if (type(self.coords) is not tuple
+                or not all(isinstance(c, Fraction) for c in self.coords)):
             object.__setattr__(
                 self, "coords", tuple(_rational(c) for c in self.coords)
             )
@@ -256,7 +257,7 @@ def primitive(vec) -> tuple[int, ...]:
     The zero vector stays zero.
     """
     den = lcm(1, *(x.denominator for x in vec))
-    ints = [int(x * den) for x in vec]
+    ints = [x.numerator * (den // x.denominator) for x in vec]
     g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 

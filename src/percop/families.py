@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cop import classical_below, classical_min, copositive_min
-from .core import (SymMat, dim_sym, inertia, nullspace, quad_form,
+from .core import (SymMat, _exact, dim_sym, inertia, nullspace, quad_form,
                    span_rank_of_vectors)
 from .errors import PreconditionError
 from .perfect import is_perfect_copositive
@@ -47,8 +47,11 @@ class LiftWitness:
     witness_vector: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "witness_vector",
-                           tuple(int(x) for x in self.witness_vector))
+        w = _exact(self.witness_vector)  # refuses floats and bools
+        if any(x.denominator != 1 for x in w):
+            raise ValueError("witness entries must be integers, got %r"
+                             % (tuple(self.witness_vector),))
+        object.__setattr__(self, "witness_vector", tuple(int(x) for x in w))
 
 
 def lift(q: SymMat, proof: LiftWitness) -> SymMat:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from percop.certify import Factorization, cp_certify
 from percop.cones import (ConeHRep, FarkasCertificate, NonnegCombination,
                           _sign_fixed, extreme_rays, lp_nonneg_solve,
                           pairing_coeffs)
@@ -132,6 +133,10 @@ def _assert_matches_oracle(cone):
     rays, lineality = _oracle(cone)
     assert [r.coords for r in vrep.rays] == rays
     assert [l.coords for l in vrep.lineality] == lineality
+    # the output does not depend on the order the normals are given in
+    normals = list(cone.normals)
+    random.Random(len(normals)).shuffle(normals)
+    assert extreme_rays(ConeHRep(cone.n, tuple(normals))) == vrep
     return vrep
 
 
@@ -148,6 +153,18 @@ def test_extreme_rays_match_the_oracle_on_random_cones():
     assert with_lineality > 100
 
 
+def test_extreme_rays_match_the_oracle_on_random_cones_in_dimension_4():
+    rng = random.Random(29)
+    with_lineality = 0
+    for _ in range(80):
+        normals = tuple(SymMat(4, tuple(rng.randint(-2, 2)
+                                        for _ in range(dim_sym(4))))
+                        for _ in range(rng.randint(6, 12)))
+        with_lineality += bool(_assert_matches_oracle(
+            ConeHRep(4, normals)).lineality)
+    assert 20 < with_lineality < 60
+
+
 def test_extreme_rays_match_the_oracle_on_the_dual_voronoi_cone_of_e():
     cone = ConeHRep(5, tuple(rank_one(v) for v in fixtures().minc_E))
     assert len(_assert_matches_oracle(cone).rays) == 188
@@ -157,6 +174,24 @@ def test_extreme_rays_match_the_oracle_on_the_4x4_box_cone():
     vecs = [v for v in product(range(2), repeat=4) if any(v)]
     cone = ConeHRep(4, tuple(rank_one(v) for v in vecs))
     assert len(_assert_matches_oracle(cone).rays) == 40
+
+
+def test_cp_certify_pins_a_walk_over_seven_dual_voronoi_cones():
+    """The walk on this 5x5 CP matrix lists the extreme rays of seven dual
+    Voronoi cones; the factorization it ends with is pinned and checked by
+    substitution."""
+    rows = [[9, 7, 3, 12, 4], [7, 17, 1, 16, 3], [3, 1, 3, 4, 2],
+            [12, 16, 4, 21, 4], [4, 3, 2, 4, 7]]
+    out = cp_certify(SymMat.from_rows(rows))
+    assert isinstance(out, Factorization)
+    assert out.pairs == tuple((Fraction(a), v) for a, v in [
+        ("1", (0, 0, 0, 0, 1)), ("1/2", (0, 1, 0, 0, 2)),
+        ("1", (0, 1, 0, 1, 0)), ("1/2", (0, 3, 0, 2, 0)),
+        ("2", (1, 0, 0, 1, 0)), ("2", (1, 0, 1, 1, 1)),
+        ("2", (1, 1, 0, 1, 1)), ("1", (1, 1, 1, 2, 0)),
+        ("2", (1, 2, 0, 2, 0))])
+    assert [[sum(a * v[i] * v[j] for a, v in out.pairs) for j in range(5)]
+            for i in range(5)] == rows
 
 
 def test_walk_directions_of_p_family_live_in_dual_cone():

@@ -270,6 +270,13 @@ def test_symmat_accepts_rational_entries():
     assert SymMat(1, ("3/6",)).coords == (Fraction(1, 2),)
 
 
+def test_symmat_stores_a_list_of_fractions_as_a_tuple():
+    m, twin = SymMat(1, [Fraction(2)]), SymMat(1, (Fraction(2),))
+    assert type(m.coords) is tuple
+    assert m == twin and hash(m) == hash(twin)
+    assert copositive_min(m).min_value == 2
+
+
 def test_span_rank_examples():
     n = 4
     diags = [rank_one(tuple(int(k == i) for k in range(n))) for i in range(n)]

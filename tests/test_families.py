@@ -102,6 +102,20 @@ def test_lift_validation_errors():
     assert exc.value.reason == "witness-not-minimal"
 
 
+@pytest.mark.parametrize("bad", [(1.0, 0, 0, 0, 4.9), (1, 0, 0, 0, 4.0),
+                                 (True, 0, 0, 0, 4), (1, 0, 0, 0, "9/2"),
+                                 (1, 0, 0, 0, Fraction(9, 2))])
+def test_lift_witness_refuses_entries_that_are_not_integers(bad):
+    with pytest.raises(ValueError):
+        LiftWitness(fixtures().E, bad)
+
+
+def test_lift_witness_keeps_integral_rationals_as_ints():
+    w = LiftWitness(fixtures().E, (1, 0, 0, 0, Fraction(8, 2))).witness_vector
+    assert w == (1, 0, 0, 0, 4)
+    assert all(type(x) is int for x in w)
+
+
 def test_lift_requires_perfect_base():
     base = SymMat.from_rows([[2, 0], [0, 2]])
     with pytest.raises(PreconditionError) as exc:
